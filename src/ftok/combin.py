@@ -299,7 +299,7 @@ class BoltzmannTable:
                 return poly.z(i) + poly.alpha(j)
             return poly.ONE
         if self.variant == "lascoux":
-            ainv = poly.Polynomial({((poly.variable("a", j), -1),): 1})
+            ainv = poly.var_poly(poly.variable("a", j), -1)
             if letter == "NS":
                 return -(poly.x(i) * ainv)
             if letter == "SW":

@@ -373,13 +373,16 @@ def verify_identity(spec: IdentitySpec) -> IdentityReport:
         lhs, rhs = _CHECKS[spec.id](spec.params)
     except MuTooLong as e:
         raise BadParams(str(e)) from e
-    diff = lhs - rhs
-    diff_text = poly.canonical(diff)
+    diff_text = poly.canonical(lhs - rhs)
+    passed = diff_text == "0"
+    lhs_text = poly.canonical(lhs)
+    # canonical depends only on the terms, and both sides have the same terms
+    # exactly when their difference is 0.
     return IdentityReport(
         spec=spec,
-        lhs=poly.canonical(lhs),
-        rhs=poly.canonical(rhs),
-        passed=diff_text == "0",
+        lhs=lhs_text,
+        rhs=lhs_text if passed else poly.canonical(rhs),
+        passed=passed,
         diff=diff_text,
         elapsed=time.perf_counter() - start,
     )

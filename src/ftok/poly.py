@@ -6,6 +6,17 @@ nonzero (possibly negative) integer exponents; polynomials map monomials to
 nonzero arbitrary-precision integer coefficients.  Everything is immutable
 and there is no floating point anywhere.
 
+A monomial is stored as a packed exponent vector (Monagan & Pearce, CASC
+2007): the Python int ``sum(e_v * 2**(W * slot(v)))`` with field width
+``W = 32`` and ``slot(v) = 6 * index + family rank``.  The fields are
+balanced, so each exponent lies in ``-(2**31 - 1) .. 2**31 - 1`` and every
+monomial decodes uniquely; multiplying monomials adds their ints and a
+Laurent inverse negates one.  Each polynomial carries ``exp_bound``, an upper
+bound on the absolute value of its exponents, and a product whose bounds could
+carry into a neighbouring field raises :class:`ExponentOverflow` instead.
+``Polynomial(terms)`` takes monomials written as tuples of
+``(variable, exponent)`` pairs and packs them.
+
 A polynomial has a canonical text form (see :func:`canonical`) with a parser
 (:func:`parse`) such that ``parse(canonical(p)) == p``.
 """
@@ -13,12 +24,18 @@ A polynomial has a canonical text form (see :func:`canonical`) with a parser
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 FAMILIES = ("x", "y", "a", "t", "z", "alpha")
 _FAMILY_RANK = {f: r for r, f in enumerate(FAMILIES)}
 _PRINT_NAME = {"alpha": "al"}
 _PARSE_NAME = {"al": "alpha"}
+
+_W = 32  # bits per exponent field
+_HALF = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+MAX_EXPONENT = _HALF - 1
 
 
 class NonSquareMatrix(ValueError):
@@ -31,6 +48,10 @@ class NonInvertibleSubstitution(ValueError):
 
 class ParseError(ValueError):
     """Raised on malformed canonical polynomial text."""
+
+
+class ExponentOverflow(ValueError):
+    """Raised when an exponent could leave ``-MAX_EXPONENT .. MAX_EXPONENT``."""
 
 
 def variable(family: str, index: int | None = None) -> tuple[int, int]:
@@ -60,48 +81,68 @@ def var_name(var: tuple[int, int]) -> str:
     return _PRINT_NAME.get(family, family) + str(var[1])
 
 
-Monomial = tuple  # tuple of ((rank, index), exponent), sorted by variable
+Monomial = int  # packed exponent vector, see the module docstring
 
-_UNIT: Monomial = ()
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for v, e in m2:
-        ne = exps.get(v, 0) + e
-        if ne:
-            exps[v] = ne
-        else:
-            del exps[v]
-    return tuple(sorted(exps.items()))
+_UNIT: Monomial = 0
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _slot(var: tuple[int, int]) -> int:
+    rank, index = var
+    if not (0 <= rank < len(FAMILIES) and index >= 0):
+        raise ValueError(f"not a variable key: {var!r}")
+    return len(FAMILIES) * index + rank
 
 
-def _mono_sort_key(m: Monomial):
-    # Total degree descending, then variable word ascending (higher power of
-    # an earlier variable first).
-    return (-_mono_degree(m), tuple((v, -e) for v, e in m))
+def _check_exponent(e: int) -> None:
+    if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
+        raise ExponentOverflow(f"exponent {e} outside +-{MAX_EXPONENT}")
+
+
+def _encode(exps: Mapping[tuple[int, int], int]) -> Monomial:
+    """Pack a map variable -> exponent (zero exponents allowed)."""
+    m = 0
+    for var, e in exps.items():
+        _check_exponent(e)
+        m += e << (_W * _slot(var))
+    return m
+
+
+def _decode(m: Monomial) -> list[tuple[int, int]]:
+    """The (slot, exponent) pairs of a packed monomial, by ascending slot."""
+    out = []
+    while m:
+        shift = (m & -m).bit_length() - 1
+        shift -= shift % _W
+        e = (((m >> shift) + _HALF) & _MASK) - _HALF
+        out.append((shift // _W, e))
+        m -= e << shift
+    return out
+
+
+def _slot_var(s: int) -> tuple[int, int]:
+    index, rank = divmod(s, len(FAMILIES))
+    return (rank, index)
 
 
 class Polynomial:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "exp_bound")
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    clean[m] = c
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Mapping[tuple, int] | None = None):
+        """``terms`` maps monomials, as tuples of (variable, exponent) pairs in
+        any order, to coefficients."""
+        clean: dict[Monomial, int] = {}
+        bound = 0
+        for mono, c in (terms or {}).items():
+            exps: dict = {}
+            for v, e in mono:
+                exps[v] = exps.get(v, 0) + e
+            m = _encode(exps)
+            clean[m] = clean.get(m, 0) + c
+            bound = max(bound, max(map(abs, exps.values()), default=0))
+        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
+        object.__setattr__(self, "exp_bound", bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -116,27 +157,37 @@ class Polynomial:
                 res[m] = nc
             else:
                 del res[m]
-        return _wrap(res)
+        return _wrap(res, max(self.exp_bound, other.exp_bound))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return _wrap({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.terms.items()}, self.exp_bound)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
+        bound = self.exp_bound + other.exp_bound
+        if bound > MAX_EXPONENT:
+            raise ExponentOverflow(
+                f"a product of exponents up to {self.exp_bound} and "
+                f"{other.exp_bound} may leave +-{MAX_EXPONENT}"
+            )
+        small, big = self.terms, other.terms
+        if len(small) > len(big):
+            small, big = big, small
+        if len(small) == 1:
+            # m1 + m2 is injective in m2: no collisions, no cancellation.
+            ((m1, c1),) = small.items()
+            if c1 == 1:
+                return _wrap({m1 + m2: c2 for m2, c2 in big.items()}, bound)
+            return _wrap({m1 + m2: c1 * c2 for m2, c2 in big.items()}, bound)
         res: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                nc = res.get(m, 0) + c1 * c2
-                if nc:
-                    res[m] = nc
-                else:
-                    del res[m]
-        return _wrap(res)
+        get = res.get
+        for m1, c1 in small.items():
+            for m2, c2 in big.items():
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+        return _wrap({m: c for m, c in res.items() if c}, bound)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -146,8 +197,9 @@ class Polynomial:
         while e:
             if e & 1:
                 res = res * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return res
 
     def __eq__(self, other) -> bool:
@@ -167,32 +219,29 @@ class Polynomial:
 
     def degree_in(self, var: tuple[int, int]) -> int:
         """Largest absolute exponent of ``var``; 0 when the variable is absent."""
-        best = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var:
-                    best = max(best, abs(e))
-        return best
+        s = _slot(var)
+        return max(
+            (abs(e) for m in self.terms for t, e in _decode(m) if t == s), default=0
+        )
 
 
-def _wrap(terms: dict) -> Polynomial:
+def _wrap(terms: dict, bound: int) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "exp_bound", bound)
     return p
 
 
 ZERO = Polynomial()
-ONE = Polynomial({_UNIT: 1})
+ONE = _wrap({_UNIT: 1}, 0)
 
 
 def const(c: int) -> Polynomial:
-    return Polynomial({_UNIT: c})
+    return _wrap({_UNIT: c} if c else {}, 0)
 
 
 def var_poly(var: tuple[int, int], exponent: int = 1) -> Polynomial:
-    if exponent == 0:
-        return ONE
-    return Polynomial({((var, exponent),): 1})
+    return _wrap({_encode({var: exponent}): 1}, abs(exponent))
 
 
 def x(i: int) -> Polynomial:
@@ -228,14 +277,17 @@ def product(factors: Iterable[Polynomial]) -> Polynomial:
 
 def poly_sum(terms: Iterable[Polynomial]) -> Polynomial:
     res: dict[Monomial, int] = {}
+    bound = 0
     for p in terms:
+        if p.exp_bound > bound:
+            bound = p.exp_bound
         for m, c in p.terms.items():
             nc = res.get(m, 0) + c
             if nc:
                 res[m] = nc
             else:
                 del res[m]
-    return _wrap(res)
+    return _wrap(res, bound)
 
 
 # -- substitution -------------------------------------------------------
@@ -265,7 +317,7 @@ def _mono_invert(p: Polynomial, var) -> Polynomial:
         raise NonInvertibleSubstitution(
             f"{var_name(var)} has a negative exponent but maps to a non-unit coefficient"
         )
-    return _wrap({tuple((v, -e) for v, e in m): c})
+    return _wrap({-m: c}, p.exp_bound)
 
 
 def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
@@ -276,25 +328,31 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
     the index.  Variables not covered are left alone.  A variable occurring
     with a negative exponent must map to an invertible monomial.
     """
-    out = ZERO
-    cache: dict = {}
+    images: dict[int, Polynomial | None] = {}
+    powers: dict[tuple[int, int], Polynomial] = {}
+    terms = []
     for m, c in p.terms.items():
-        term = const(c)
-        for var, e in m:
-            key = (var, e)
-            factor = cache.get(key)
+        kept, factors = 0, []
+        for s, e in _decode(m):
+            if s not in images:
+                images[s] = _image_of(_slot_var(s), rules)
+            img = images[s]
+            if img is None:
+                kept += e << (_W * s)
+                continue
+            factor = powers.get((s, e))
             if factor is None:
-                img = _image_of(var, rules)
-                if img is None:
-                    factor = var_poly(var, e)
-                elif e >= 0:
-                    factor = img ** e
-                else:
-                    factor = _mono_invert(img, var) ** (-e)
-                cache[key] = factor
+                base = img if e > 0 else _mono_invert(img, _slot_var(s))
+                factor = powers[(s, e)] = base ** abs(e)
+            factors.append(factor)
+        term = _wrap({kept: c}, p.exp_bound)
+        for factor in factors:
+            if not factor.terms:
+                break
             term = term * factor
-        out = out + term
-    return out
+        else:
+            terms.append(term)
+    return poly_sum(terms)
 
 
 # -- determinant --------------------------------------------------------
@@ -335,17 +393,34 @@ def det(matrix) -> Polynomial:
 
 # -- canonical text form ------------------------------------------------
 
+_by_name = itemgetter(3)
+
+
 def canonical(p: Polynomial) -> str:
-    """Deterministic text encoding; ``parse`` inverts it exactly."""
+    """Deterministic text encoding; ``parse`` inverts it exactly.
+
+    Terms run by total degree descending, then by variable word ascending
+    (a higher power of an earlier variable first); inside a term the factors
+    run by printed name.
+    """
     if not p.terms:
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-    pieces = []
-    for m, c in items:
-        body = "*".join(
-            var_name(v) + (f"^{e}" if e != 1 else "")
-            for v, e in sorted(m, key=lambda ve: var_name(ve[0]))
-        )
+    # (slot, exponent) -> (rank, index, -exponent, name, factor text); the
+    # first three fields order a word, and fix the other two.
+    factors: dict[tuple[int, int], tuple] = {}
+    rows = []
+    for m, c in p.terms.items():
+        word = []
+        for se in _decode(m):
+            f = factors.get(se)
+            if f is None:
+                s, e = se
+                var = _slot_var(s)
+                name = var_name(var)
+                f = factors[se] = (*var, -e, name, name if e == 1 else f"{name}^{e}")
+            word.append(f)
+        word.sort()
+        body = "*".join([f[4] for f in sorted(word, key=_by_name)])
         mag = abs(c)
         if not m:
             text = str(mag)
@@ -353,11 +428,14 @@ def canonical(p: Polynomial) -> str:
             text = body
         else:
             text = f"{mag}*{body}"
-        pieces.append((c < 0, text))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, text in pieces[1:]:
-        out += (" - " if neg else " + ") + text
-    return out
+        # keys are distinct, so the sort never compares past them
+        rows.append(((sum([f[2] for f in word]), word), c < 0, text))
+    rows.sort()
+    out = ["-" if rows[0][1] else "", rows[0][2]]
+    for _, neg, text in rows[1:]:
+        out.append(" - " if neg else " + ")
+        out.append(text)
+    return "".join(out)
 
 
 _FACTOR_RE = re.compile(r"^([a-z]+?)(\d+)?(?:\^(-?\d+))?$")
@@ -398,7 +476,9 @@ def parse(text: str) -> Polynomial:
     terms = [(sign, chunks[0])]
     for op, chunk in zip(chunks[1::2], chunks[2::2]):
         terms.append((1 if op == "+" else -1, chunk))
-    result = ZERO
+    factor_cache: dict[str, tuple[tuple[int, int], int]] = {}
+    res: dict[Monomial, int] = {}
+    bound = 0
     for sgn, chunk in terms:
         factors = chunk.split("*")
         coeff = sgn
@@ -408,12 +488,12 @@ def parse(text: str) -> Polynomial:
             coeff *= int(factors[0])
             start = 1
         for tok in factors[start:]:
-            var, e = _parse_factor(tok)
-            ne = mono.get(var, 0) + e
-            if ne:
-                mono[var] = ne
-            else:
-                del mono[var]
-        key = tuple(sorted(mono.items()))
-        result = result + Polynomial({key: coeff})
-    return result
+            ve = factor_cache.get(tok)
+            if ve is None:
+                ve = factor_cache[tok] = _parse_factor(tok)
+            var, e = ve
+            mono[var] = mono.get(var, 0) + e
+        key = _encode(mono)
+        res[key] = res.get(key, 0) + coeff
+        bound = max(bound, max(map(abs, mono.values()), default=0))
+    return _wrap({m: c for m, c in res.items() if c}, bound)

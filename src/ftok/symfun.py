@@ -151,8 +151,6 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
     )
     if kind in ("schur", "bigP", "bigQ"):
         total = poly.substitute(total, {"a": poly.ZERO})
-    elif kind == "factorialBigP":
-        total = poly.substitute(total, {poly.variable("a", 0): poly.ZERO})
     return total
 
 

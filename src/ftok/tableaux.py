@@ -90,12 +90,6 @@ class Tableau:
     def cell_map(self) -> dict:
         return dict(self.cells)
 
-    def rows(self) -> list[list[CellEntry]]:
-        out: dict[int, list] = {}
-        for (i, _), e in self.cells:
-            out.setdefault(i, []).append(e)
-        return [out[i] for i in sorted(out)]
-
     def to_json(self) -> dict:
         rows: dict[int, list[str]] = {}
         for (i, _), e in self.cells:

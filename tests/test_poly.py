@@ -215,3 +215,177 @@ def test_degree_in():
     p = poly.x(1) ** 3 + poly.y(2)
     assert p.degree_in(poly.variable("x", 1)) == 3
     assert p.degree_in(poly.variable("a", 1)) == 0
+
+
+# -- packed monomials against a tuple-monomial oracle ----------------------
+#
+# The oracle keeps each monomial as a sorted tuple of (variable, exponent)
+# pairs and multiplies by merging dicts: the representation poly used before
+# exponent vectors were packed into ints.  Its polynomials are plain dicts.
+
+MAX = poly.MAX_EXPONENT
+
+
+def _oracle_mono_mul(m1, m2):
+    exps = dict(m1)
+    for v, e in m2:
+        ne = exps.get(v, 0) + e
+        if ne:
+            exps[v] = ne
+        else:
+            del exps[v]
+    return tuple(sorted(exps.items()))
+
+
+def _oracle_add(p, q):
+    res = dict(p)
+    for m, c in q.items():
+        res[m] = res.get(m, 0) + c
+    return {m: c for m, c in res.items() if c}
+
+
+def _oracle_mul(p, q):
+    res = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = _oracle_mono_mul(m1, m2)
+            res[m] = res.get(m, 0) + c1 * c2
+    return {m: c for m, c in res.items() if c}
+
+
+def _oracle_substitute(p, rules):
+    """``rules`` maps a family to a callable from the index to an oracle poly."""
+    out = {}
+    for m, c in p.items():
+        term = {(): c}
+        for var, e in m:
+            family = poly.FAMILIES[var[0]]
+            if family not in rules:
+                factor = {((var, e),): 1}
+            else:
+                img = rules[family](var[1])
+                if e < 0:
+                    if len(img) != 1 or set(img.values()) - {1, -1}:
+                        raise poly.NonInvertibleSubstitution(poly.var_name(var))
+                    img = {tuple((v, -f) for v, f in m): c for m, c in img.items()}
+                factor = {(): 1}
+                for _ in range(abs(e)):
+                    factor = _oracle_mul(factor, img)
+            term = _oracle_mul(term, factor)
+        out = _oracle_add(out, term)
+    return out
+
+
+def _oracle_canonical(p):
+    def key(m):
+        return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+
+    pieces = []
+    for m, c in sorted(p.items(), key=lambda kv: key(kv[0])):
+        body = "*".join(
+            poly.var_name(v) + (f"^{e}" if e != 1 else "")
+            for v, e in sorted(m, key=lambda ve: poly.var_name(ve[0]))
+        )
+        mag = abs(c)
+        text = str(mag) if not m else body if mag == 1 else f"{mag}*{body}"
+        pieces.append(("-" if c < 0 else "+", text))
+    if not pieces:
+        return "0"
+    out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return out + "".join(f" {sign} {text}" for sign, text in pieces[1:])
+
+
+nonzero_coeffs = coeffs.filter(lambda c: c != 0)
+raw_polys = st.dictionaries(monomials, nonzero_coeffs, max_size=5)
+ORACLE_RULES = {
+    "y": lambda i: {((poly.variable("x", i), 1),): -1},
+    "a": lambda j: {((poly.variable("t"), 2),): -1},
+    "z": lambda i: {((poly.variable("x", i), 1),): 1, (): 1},
+}
+PACKED_RULES = {
+    family: (lambda f: lambda i: poly.Polynomial(f(i)))(f)
+    for family, f in ORACLE_RULES.items()
+}
+
+
+@given(raw_polys, raw_polys)
+def test_packed_ring_ops_match_oracle(p, q):
+    P, Q = poly.Polynomial(p), poly.Polynomial(q)
+    assert P * Q == poly.Polynomial(_oracle_mul(p, q))
+    assert P + Q == poly.Polynomial(_oracle_add(p, q))
+    assert poly.canonical(P * Q) == _oracle_canonical(_oracle_mul(p, q))
+
+
+@given(raw_polys)
+@settings(max_examples=60)
+def test_packed_substitute_matches_oracle(p):
+    try:
+        expect = _oracle_substitute(p, ORACLE_RULES)
+    except poly.NonInvertibleSubstitution:
+        with pytest.raises(poly.NonInvertibleSubstitution):
+            poly.substitute(poly.Polynomial(p), PACKED_RULES)
+        return
+    assert poly.substitute(poly.Polynomial(p), PACKED_RULES) == poly.Polynomial(expect)
+
+
+big_exponents = st.integers(min_value=-MAX, max_value=MAX).filter(lambda e: e != 0)
+big_monomials = st.dictionaries(st.sampled_from(VARS), big_exponents, max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+big_raw_polys = st.dictionaries(big_monomials, nonzero_coeffs, max_size=4)
+
+
+@given(big_raw_polys)
+def test_canonical_round_trip_near_field_bound(p):
+    P = poly.Polynomial(p)
+    text = poly.canonical(P)
+    assert text == _oracle_canonical(p)
+    assert poly.parse(text) == P
+
+
+@given(big_raw_polys, big_raw_polys)
+def test_product_overflow_raises_never_wraps(p, q):
+    P, Q = poly.Polynomial(p), poly.Polynomial(q)
+    try:
+        prod = P * Q
+    except poly.ExponentOverflow:
+        assert P.exp_bound + Q.exp_bound > MAX
+        return
+    expect = _oracle_mul(p, q)
+    assert all(abs(e) <= MAX for m in expect for _, e in m)
+    assert prod == poly.Polynomial(expect)
+
+
+def test_exponent_overflow_examples():
+    x1, y1 = poly.variable("x", 1), poly.variable("y", 1)
+    top = poly.var_poly(x1, MAX)
+    # x1^MAX * x1 would carry into the next field; x1^MAX * y1 could, by bound.
+    for other in (poly.x(1), poly.y(1), top):
+        with pytest.raises(poly.ExponentOverflow):
+            top * other
+    with pytest.raises(poly.ExponentOverflow):
+        poly.var_poly(x1, MAX + 1)
+    with pytest.raises(poly.ExponentOverflow):
+        poly.Polynomial({((x1, MAX), (x1, 1)): 1})
+    with pytest.raises(poly.ExponentOverflow):
+        poly.parse(f"x1^{MAX}*x1")
+    with pytest.raises(poly.ExponentOverflow):
+        poly.parse(f"y1^-{MAX + 1}")
+    # square-and-multiply must not square once more than it needs
+    assert poly.x(1) ** 2**30 == poly.var_poly(x1, 2**30)
+    assert poly.var_poly(x1, MAX - 1) * poly.x(1) == top
+    assert poly.var_poly(x1, -MAX) * poly.const(-2) == poly.Polynomial({((x1, -MAX),): -2})
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(VARS), exponents), max_size=6),
+    nonzero_coeffs,
+)
+def test_unnormalised_monomial_equals_normalised(pairs, c):
+    exps = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    normal = tuple(sorted((v, e) for v, e in exps.items() if e))
+    P = poly.Polynomial({tuple(pairs): c})
+    assert P == poly.Polynomial({normal: c})
+    assert poly.canonical(P) == _oracle_canonical({normal: c})

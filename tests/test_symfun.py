@@ -138,6 +138,7 @@ def test_factorial_schur_symmetric_in_x1_x2(mu):
     [
         ("factorialSchur", Partition((2, 1))),
         ("factorialBigQ", StrictPartition((3, 2, 1))),
+        ("factorialBigP", StrictPartition((3, 2, 1))),
     ],
 )
 def test_a0_independence(kind, shape):
