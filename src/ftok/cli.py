@@ -2,8 +2,10 @@
 
 Subcommands: enumerate, sf, bijection, zfunc, verify, suite.  Polynomial
 output uses the canonical text form; object output uses the JSON forms of the
-owning modules.  The enumeration cache location is controlled by the
-FTOK_CACHE_DIR environment variable (default .ftok-cache/).
+owning modules.  ``sf`` tableau sums are cached as canonical text under the
+FTOK_CACHE_DIR environment variable (default .ftok-cache/).  ``verify`` and
+``suite`` exit 0 on pass, 1 on a failed identity and 2 on bad parameters or a
+bad suite config; ``suite --json`` prints one report per line.
 """
 
 from __future__ import annotations
@@ -38,30 +40,23 @@ def _parse_shape(kind: str, text: str):
 
 def _cmd_enumerate(args) -> int:
     shape = _parse_shape(args.kind, args.shape)
-    if args.kind in ("gtp", "asm"):
-        n = len(shape.parts)
+    if args.kind == "gtp":
+        objects = combin.enumerate_gtp(shape)
+    elif args.kind == "asm":
+        objects = combin.enumerate_asm(shape)
     else:
         if args.n is None:
             raise SystemExit("--n is required for tableau kinds")
-        n = args.n
+        objects = tableaux.enumerate_tableaux(_TABLEAU_KIND[args.kind], shape, args.n)
     if args.count_only:
-        kind = _TABLEAU_KIND.get(args.kind, args.kind)
-        print(harness.cached_enumeration_count(kind, shape, n))
+        print(sum(1 for _ in objects))
         return 0
-    if args.kind == "gtp":
-        objects = (g.to_json() for g in combin.enumerate_gtp(shape))
-    elif args.kind == "asm":
-        objects = (a.to_json() for a in combin.enumerate_asm(shape))
-    else:
-        objects = (
-            t.to_json()
-            for t in tableaux.enumerate_tableaux(_TABLEAU_KIND[args.kind], shape, n)
-        )
+    blobs = (obj.to_json() for obj in objects)
     if args.json:
-        print(json.dumps(list(objects)))
+        print(json.dumps(list(blobs)))
     else:
-        for obj in objects:
-            print(json.dumps(obj))
+        for blob in blobs:
+            print(json.dumps(blob))
     return 0
 
 
@@ -70,14 +65,17 @@ def _cmd_sf(args) -> int:
         kind = _SF_KINDS[args.kind]
         strict = kind not in ("schur", "factorialSchur")
         shape = parse_strict_partition(args.shape) if strict else parse_partition(args.shape)
-        _, total = harness.cached_tableau_sum(kind, shape, args.n)
+        text = harness.cached_tableau_sum(kind, shape, args.n)
     elif args.kind == "lemma1-det":
-        total = symfun.det_formula("lemma1", parse_partition(args.shape), args.n)
+        text = poly.canonical(
+            symfun.det_formula("lemma1", parse_partition(args.shape), args.n)
+        )
     elif args.kind == "lemma2-det":
-        total = symfun.det_formula("lemma2", parse_strict_partition(args.shape), args.n)
+        text = poly.canonical(
+            symfun.det_formula("lemma2", parse_strict_partition(args.shape), args.n)
+        )
     else:
         raise SystemExit(f"unknown sf kind {args.kind!r}")
-    text = poly.canonical(total)
     print(json.dumps({"polynomial": text}) if args.json else text)
     return 0
 
@@ -155,7 +153,7 @@ def _cmd_verify(args) -> int:
 def _cmd_suite(args) -> int:
     try:
         specs = harness.load_suite_config(args.config) if args.config else None
-        reports = harness.run_suite(specs, jobs=args.jobs)
+        reports = harness.run_suite(specs)
     except (harness.BadConfig, harness.BadParams) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a batch of identity checks")
     p.add_argument("--config")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_suite)
 

@@ -1,8 +1,9 @@
-"""Identity verification: specs, reports, the suite runner, and the cache.
+"""Identity verification: specs, reports, the serial suite runner, and the
+on-disk cache of ``sf`` tableau sums.
 
 Every check computes both sides through the owning modules and compares the
 canonical form of lhs - rhs against zero, so term order can never produce a
-false failure.
+false failure.  Parameters outside an identity's domain raise ``BadParams``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import combin, paths, poly, sixvertex, symfun, tableaux
@@ -43,7 +43,7 @@ IDENTITY_IDS = (
     "pathsLemma2",
 )
 
-CACHE_VERSION = "1"
+CACHE_VERSION = "2"
 
 
 class BadParams(ValueError):
@@ -105,6 +105,13 @@ def _get_int(params: dict, key: str) -> int:
     return v
 
 
+def _get_n(params: dict) -> int:
+    n = _get_int(params, "n")
+    if n < 1:
+        raise BadParams(f"n must be at least 1, got {n}")
+    return n
+
+
 def _get_mu(params: dict) -> Partition:
     if "mu" not in params:
         raise BadParams("missing parameter 'mu'")
@@ -133,8 +140,8 @@ def _mu_delta(params: dict, n: int) -> StrictPartition:
                 raise BadParams(str(e)) from e
         if not isinstance(v, StrictPartition):
             raise BadParams(f"parameter 'lambda' must be strict, got {v!r}")
-        if len(v.parts) != n:
-            raise BadParams(f"lambda must have length {n}")
+        if len(v.parts) != n or v.length() != n:
+            raise BadParams(f"lambda must have exactly {n} positive parts")
         return v
     mu = _get_mu(params)
     try:
@@ -147,7 +154,7 @@ def _mu_delta(params: dict, n: int) -> StrictPartition:
 
 def _check_theorem1(params: dict, klass: str):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     lam = _mu_delta({"mu": mu}, n)
     kind = "factorialBigP" if klass == "P" else "factorialBigQ"
     lhs = symfun.tableau_sum(kind, lam, n)
@@ -157,21 +164,21 @@ def _check_theorem1(params: dict, klass: str):
 
 def _check_lemma1(params: dict):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     try:
         lhs = symfun.det_formula("lemma1", mu, n)
         rhs = symfun.tableau_sum("factorialSchur", mu.normalized(), n)
-    except (MuTooLong, symfun.InvalidShapeForKind) as e:
+    except (MuTooLong, tableaux.InvalidShapeForKind) as e:
         raise BadParams(str(e)) from e
     return lhs, rhs
 
 
 def _check_lemma2(params: dict):
-    n = _get_int(params, "n")
+    n = _get_n(params)
     lam = _mu_delta(params, n)
     try:
         lhs = symfun.det_formula("lemma2", lam, n)
-    except symfun.InvalidShapeForKind as e:
+    except tableaux.InvalidShapeForKind as e:
         raise BadParams(str(e)) from e
     rhs = symfun.tableau_sum("factorialBigP", lam, n)
     return lhs, rhs
@@ -180,7 +187,7 @@ def _check_lemma2(params: dict):
 def _check_lemma3a(params: dict):
     m = _get_int(params, "m")
     p = _get_int(params, "p")
-    n = _get_int(params, "n")
+    n = _get_n(params)
     if not (m >= 0 and 1 <= p < n):
         raise BadParams(f"need m >= 0 and 1 <= p < n, got m={m}, p={p}, n={n}")
     left1 = symfun.interleaved_alphabet(p, n)
@@ -199,7 +206,7 @@ def _check_lemma3b(params: dict):
     m = _get_int(params, "m")
     p = _get_int(params, "p")
     q = _get_int(params, "q")
-    n = _get_int(params, "n")
+    n = _get_n(params)
     if not (m >= 0 and 1 <= p < q <= n):
         raise BadParams(f"need 1 <= p < q <= n, got p={p}, q={q}, n={n}")
     l1 = [x_slot(r, r - p) for r in range(p, q)]
@@ -218,7 +225,7 @@ def _check_lemma3b(params: dict):
 def _check_lemma4(params: dict):
     # encoded as polynomials: sum of t^(#SW - #NE) against count * t^|mu|
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     lam = _mu_delta({"mu": mu}, n)
     tvar = poly.variable("t")
     lhs = poly.ZERO
@@ -234,7 +241,7 @@ def _check_lemma4(params: dict):
 
 def _check_cor1(params: dict):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     lam = _mu_delta({"mu": mu}, n)
     big_q = symfun.tableau_sum("factorialBigQ", lam, n)
     lhs = poly.substitute(big_q, {"y": lambda i: poly.x(i)})
@@ -250,7 +257,7 @@ def _check_cor1(params: dict):
 
 def _check_cor2(params: dict):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     lhs = sixvertex.partition_function(mu, n, "general")
     rhs = symfun.theorem_rhs(mu, n, "P")
     return lhs, rhs
@@ -258,7 +265,7 @@ def _check_cor2(params: dict):
 
 def _check_cor3(params: dict):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     lam = _mu_delta({"mu": mu}, n)
     lhs = poly.poly_sum(combin.weight_gtp(g) for g in combin.enumerate_gtp(lam))
     rhs = symfun.theorem_rhs(mu, n, "P")
@@ -267,7 +274,7 @@ def _check_cor3(params: dict):
 
 def _check_cor4(params: dict):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     try:
         top = shape_for(mu, n, "rho")
     except MuTooLong as e:
@@ -294,7 +301,7 @@ def _check_cor4(params: dict):
 
 def _check_cor5(params: dict):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     mu.padded(n)
     lhs = sixvertex.partition_function(mu, n, "bmn")
     s = symfun.tableau_sum("factorialSchur", mu.normalized(), n)
@@ -312,7 +319,7 @@ def _check_cor5(params: dict):
 
 def _check_cor6(params: dict):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     mu.padded(n)
     lhs = sixvertex.partition_function(mu, n, "lascoux")
     kappa = Partition(mu.padded(n)[i] + (n - 1 - i) for i in range(n))
@@ -331,7 +338,7 @@ def _check_cor6(params: dict):
 
 def _check_paths_lemma1(params: dict):
     mu = _get_mu(params)
-    n = _get_int(params, "n")
+    n = _get_n(params)
     mu.padded(n)
     lhs = paths.nonintersecting_sum("sst", mu, n)
     rhs = symfun.det_formula("lemma1", mu, n)
@@ -339,7 +346,7 @@ def _check_paths_lemma1(params: dict):
 
 
 def _check_paths_lemma2(params: dict):
-    n = _get_int(params, "n")
+    n = _get_n(params)
     lam = _mu_delta(params, n)
     lhs = paths.nonintersecting_sum("pst", lam, n)
     rhs = symfun.det_formula("lemma2", lam, n)
@@ -442,17 +449,14 @@ def default_suite() -> list[IdentitySpec]:
     return specs
 
 
-def run_suite(specs=None, jobs: int = 1) -> list[IdentityReport]:
+def run_suite(specs=None) -> list[IdentityReport]:
     if specs is None:
         specs = default_suite()
     specs = list(specs)
     for spec in specs:
         if not isinstance(spec, IdentitySpec):
             raise BadConfig(f"suite entries must be IdentitySpec, got {spec!r}")
-    if jobs <= 1:
-        return [verify_identity(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(verify_identity, specs))
+    return [verify_identity(s) for s in specs]
 
 
 def load_suite_config(path: str) -> list[IdentitySpec]:
@@ -485,21 +489,26 @@ def _cache_path(request: dict) -> str:
 
 
 def cache_get(request: dict):
+    """The stored entry for ``request``, or None when there is no usable one."""
     path = _cache_path(request)
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError: invalid JSON or UTF-8
         return None
-    if entry.get("version") != CACHE_VERSION or entry.get("request") != request:
+    if (
+        not isinstance(entry, dict)
+        or entry.get("version") != CACHE_VERSION
+        or entry.get("request") != request
+        or not isinstance(entry.get("canonical_polynomial"), str)
+    ):
         return None
     return entry
 
 
-def cache_put(request: dict, count: int, canonical_polynomial):
+def cache_put(request: dict, canonical_polynomial: str) -> dict:
     entry = {
         "request": request,
-        "count": count,
         "canonical_polynomial": canonical_polynomial,
         "version": CACHE_VERSION,
     }
@@ -516,7 +525,8 @@ def cache_put(request: dict, count: int, canonical_polynomial):
     return entry
 
 
-def cached_tableau_sum(kind: str, shape, n: int) -> tuple[int, poly.Polynomial]:
+def cached_tableau_sum(kind: str, shape, n: int) -> str:
+    """Canonical text of ``symfun.tableau_sum(kind, shape, n)``, via the cache."""
     request = {
         "op": "tableau_sum",
         "kind": kind,
@@ -525,27 +535,7 @@ def cached_tableau_sum(kind: str, shape, n: int) -> tuple[int, poly.Polynomial]:
     }
     hit = cache_get(request)
     if hit is not None:
-        return hit["count"], poly.parse(hit["canonical_polynomial"])
-    tkind = symfun._KIND_TO_TABLEAU[kind]
-    count = sum(1 for _ in tableaux.enumerate_tableaux(tkind, shape, n))
-    total = symfun.tableau_sum(kind, shape, n)
-    cache_put(request, count, poly.canonical(total))
-    return count, total
-
-
-def cached_enumeration_count(kind: str, shape, n: int) -> int:
-    request = {
-        "op": "enumerate",
-        "kind": kind,
-        "shape": list(shape.parts),
-        "n": n,
-    }
-    hit = cache_get(request)
-    if hit is not None:
-        return hit["count"]
-    if kind in ("gtp", "asm"):
-        count = sum(1 for _ in combin.enumerate_gtp(shape))
-    else:
-        count = sum(1 for _ in tableaux.enumerate_tableaux(kind, shape, n))
-    cache_put(request, count, None)
-    return count
+        return hit["canonical_polynomial"]
+    text = poly.canonical(symfun.tableau_sum(kind, shape, n))
+    cache_put(request, text)
+    return text

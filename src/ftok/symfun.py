@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import poly, tableaux
 from .shapes import MuTooLong, Partition, StrictPartition
+from .tableaux import InvalidShapeForKind
 
 TABLEAU_KINDS = (
     "schur",
@@ -22,10 +23,6 @@ TABLEAU_KINDS = (
     "factorialBigP",
     "factorialBigQ",
 )
-
-
-class InvalidShapeForKind(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_enumerate_count_only(capsys):
+def test_enumerate_count_only(tmp_path, capsys):
     code, out, _ = run(
         capsys, "enumerate", "--kind", "sst", "--shape", "1", "--n", "2", "--count-only"
     )
@@ -29,6 +29,7 @@ def test_enumerate_count_only(capsys):
     )
     assert code == 0
     assert out.strip() == "7"
+    assert not (tmp_path / "cache").exists()
 
 
 def test_enumerate_json_stream(capsys):
@@ -67,6 +68,15 @@ def test_sf_output(capsys):
     code, out, _ = run(capsys, "sf", "--kind", "p", "--shape", "2,1", "--n", "2")
     assert code == 0
     assert out.strip() == "x1^2*x2 + x1*x2*y2"
+
+
+def test_sf_cache_hit_prints_miss_bytes(tmp_path, capsys):
+    for extra in ((), ("--json",)):
+        argv = ("sf", "--kind", "factorial-q", "--shape", "2,1", "--n", "2") + extra
+        miss = run(capsys, *argv)
+        assert len(list((tmp_path / "cache").iterdir())) == 1
+        assert run(capsys, *argv) == miss
+        assert miss[0] == 0 and miss[1]
 
 
 def test_bijection_chain(tmp_path, capsys):
@@ -130,6 +140,14 @@ def test_verify_exit_codes(capsys):
     )
     assert code == 2
     assert "error:" in err
+    for argv in (
+        ("--id", "lemma2", "--lambda", "3,2,0", "--n", "3"),
+        ("--id", "pathsLemma2", "--lambda", "3,2,0", "--n", "3"),
+        ("--id", "lemma1", "--mu", "0", "--n", "0"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error:" in err
     code, out, _ = run(
         capsys, "verify", "--id", "theorem1P", "--mu", "1", "--n", "2", "--json"
     )
@@ -167,7 +185,7 @@ def test_suite_bad_config(tmp_path, capsys):
 def test_suite_json_reports(tmp_path, capsys):
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps([{"id": "lemma3a", "m": 1, "p": 1, "n": 2}]))
-    code, out, _ = run(capsys, "suite", "--config", str(cfg), "--json", "--jobs", "2")
+    code, out, _ = run(capsys, "suite", "--config", str(cfg), "--json")
     assert code == 0
     blob = json.loads(out.strip())
     assert blob["id"] == "lemma3a" and blob["pass"] is True

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ftok import harness, poly
+from ftok import harness
 from ftok.harness import IdentityReport, IdentitySpec
 from ftok.shapes import Partition
 
@@ -51,8 +51,10 @@ def test_lemma2_accepts_lambda_or_mu():
 def test_bad_params():
     with pytest.raises(harness.BadParams):
         harness.verify_identity(IdentitySpec("nope", {}))
-    with pytest.raises(harness.BadParams):
-        harness.verify_identity(IdentitySpec("lemma2", {"lambda": "2,2", "n": 2}))
+    for ident in ("lemma2", "pathsLemma2"):
+        for lam, n in (("2,2", 2), ("3,2,0", 3)):
+            with pytest.raises(harness.BadParams):
+                harness.verify_identity(IdentitySpec(ident, {"lambda": lam, "n": n}))
     with pytest.raises(harness.BadParams):
         harness.verify_identity(IdentitySpec("lemma1", {"n": 2}))
     with pytest.raises(harness.BadParams):
@@ -86,19 +88,16 @@ def test_reports_reproducible():
     assert (r1.lhs, r1.rhs, r1.diff) == (r2.lhs, r2.rhs, r2.diff)
 
 
-def test_run_suite_empty_and_parallel():
+def test_run_suite_empty_and_in_order():
     assert harness.run_suite([]) == []
     specs = [
         IdentitySpec("lemma1", {"mu": Partition(), "n": 2}),
         IdentitySpec("lemma2", {"mu": Partition((1,)), "n": 2}),
         IdentitySpec("lemma4", {"mu": Partition((1,)), "n": 2}),
     ]
-    serial = harness.run_suite(specs)
-    parallel = harness.run_suite(specs, jobs=3)
-    assert [r.spec for r in serial] == specs
-    assert [(r.spec.id, r.lhs, r.passed) for r in serial] == [
-        (r.spec.id, r.lhs, r.passed) for r in parallel
-    ]
+    reports = harness.run_suite(specs)
+    assert [r.spec for r in reports] == specs
+    assert all(r.passed for r in reports)
     with pytest.raises(harness.BadConfig):
         harness.run_suite(["lemma1"])
 
@@ -138,9 +137,9 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("FTOK_CACHE_DIR", str(tmp_path / "cache"))
     request = {"op": "tableau_sum", "kind": "schur", "shape": [1], "n": 2}
     assert harness.cache_get(request) is None
-    harness.cache_put(request, 2, "x1 + x2")
+    entry = harness.cache_put(request, "x1 + x2")
     hit = harness.cache_get(request)
-    assert hit["count"] == 2
+    assert hit == entry
     assert hit["canonical_polynomial"] == "x1 + x2"
     assert hit["version"] == harness.CACHE_VERSION
     assert hit["request"] == request
@@ -151,37 +150,37 @@ def test_cache_round_trip(tmp_path, monkeypatch):
 
 def test_cache_rejects_stale_entries(tmp_path, monkeypatch):
     monkeypatch.setenv("FTOK_CACHE_DIR", str(tmp_path))
-    request = {"op": "enumerate", "kind": "sst", "shape": [1], "n": 1}
-    entry = harness.cache_put(request, 1, None)
+    request = {"op": "tableau_sum", "kind": "schur", "shape": [1], "n": 1}
+    entry = harness.cache_put(request, "x1")
     path = harness._cache_path(request)
-    entry["version"] = "0"
-    with open(path, "w") as fh:
-        json.dump(entry, fh)
-    assert harness.cache_get(request) is None
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    assert harness.cache_get(request) is None
+    stale = [
+        "{not json",
+        b"\xff\xfe",
+        json.dumps([entry]),
+        json.dumps("x1"),
+        json.dumps(dict(entry, version="1")),
+        json.dumps(dict(entry, request=dict(request, n=2))),
+        json.dumps(dict(entry, canonical_polynomial=None)),
+        json.dumps(dict(entry, canonical_polynomial=["x1"])),
+    ]
+    for blob in stale:
+        mode = "wb" if isinstance(blob, bytes) else "w"
+        with open(path, mode) as fh:
+            fh.write(blob)
+        assert harness.cache_get(request) is None, blob
+        # a miss recomputes and overwrites the bad entry
+        assert harness.cached_tableau_sum("schur", Partition((1,)), 1) == "x1"
+        assert harness.cache_get(request)["canonical_polynomial"] == "x1"
 
 
 def test_cached_tableau_sum(tmp_path, monkeypatch):
     monkeypatch.setenv("FTOK_CACHE_DIR", str(tmp_path))
-    count, total = harness.cached_tableau_sum("factorialSchur", Partition((1,)), 2)
-    assert count == 2
-    assert poly.canonical(total) == "x1 + x2 + a1 + a2"
-    # second call is served from disk and agrees
-    count2, total2 = harness.cached_tableau_sum(
-        "factorialSchur", Partition((1,)), 2
-    )
-    assert (count2, total2) == (count, total)
-
-
-def test_cached_enumeration_count(tmp_path, monkeypatch):
-    monkeypatch.setenv("FTOK_CACHE_DIR", str(tmp_path))
-    from ftok.shapes import StrictPartition
-
-    assert harness.cached_enumeration_count("asm", StrictPartition((3, 2, 1)), 3) == 7
-    assert harness.cached_enumeration_count("asm", StrictPartition((3, 2, 1)), 3) == 7
-    assert harness.cached_enumeration_count("sst", Partition((1,)), 2) == 2
+    text = harness.cached_tableau_sum("factorialSchur", Partition((1,)), 2)
+    assert text == "x1 + x2 + a1 + a2"
+    # a hit returns the stored text as it is
+    request = {"op": "tableau_sum", "kind": "factorialSchur", "shape": [1], "n": 2}
+    harness.cache_put(request, "stored text")
+    assert harness.cached_tableau_sum("factorialSchur", Partition((1,)), 2) == "stored text"
 
 
 def test_default_cache_dir(monkeypatch):

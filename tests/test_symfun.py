@@ -1,6 +1,6 @@
 import pytest
 
-from ftok import poly, symfun
+from ftok import poly, symfun, tableaux
 from ftok.shapes import Partition, StrictPartition
 from ftok.symfun import ShiftedAlphabet, x_slot, y_slot
 
@@ -66,6 +66,7 @@ def test_tableau_sum_examples():
 
 
 def test_tableau_sum_bad_shape():
+    assert symfun.InvalidShapeForKind is tableaux.InvalidShapeForKind
     with pytest.raises(symfun.InvalidShapeForKind):
         symfun.tableau_sum("factorialSchur", StrictPartition((2, 1)), 2)
     with pytest.raises(symfun.InvalidShapeForKind):
