@@ -3,9 +3,11 @@
 Subcommands: enumerate, sf, bijection, zfunc, verify, suite.  Polynomial
 output uses the canonical text form; object output uses the JSON forms of the
 owning modules.  ``sf`` tableau sums are cached as canonical text under the
-FTOK_CACHE_DIR environment variable (default .ftok-cache/).  ``verify`` and
-``suite`` exit 0 on pass, 1 on a failed identity and 2 on bad parameters or a
-bad suite config; ``suite --json`` prints one report per line.
+FTOK_CACHE_DIR environment variable (default .ftok-cache/).  Every subcommand
+exits 2 with ``error: ...`` on stderr and nothing on stdout when its input is
+outside the domain (a bad shape, parameter or suite config); ``verify`` and
+``suite`` exit 0 on pass and 1 on a failed identity.  ``suite --json`` prints
+one report per line.
 """
 
 from __future__ import annotations
@@ -27,15 +29,16 @@ _SF_KINDS = {
     "factorial-q": "factorialBigQ",
 }
 
-_STRICT_SHAPE_KINDS = {"shifted", "primed-p", "primed-q", "gtp", "asm"}
-
 _TABLEAU_KIND = {"sst": "sst", "shifted": "shifted", "primed-p": "primedP", "primed-q": "primedQ"}
+
+# enumerate and sf kinds whose shape is a partition; all others take a strict one
+_PARTITION_KINDS = {"sst", "schur", "factorial-schur", "lemma1-det"}
 
 
 def _parse_shape(kind: str, text: str):
-    if kind in _STRICT_SHAPE_KINDS:
-        return parse_strict_partition(text)
-    return parse_partition(text)
+    if kind in _PARTITION_KINDS:
+        return parse_partition(text)
+    return parse_strict_partition(text)
 
 
 def _cmd_enumerate(args) -> int:
@@ -46,7 +49,7 @@ def _cmd_enumerate(args) -> int:
         objects = combin.enumerate_asm(shape)
     else:
         if args.n is None:
-            raise SystemExit("--n is required for tableau kinds")
+            raise ValueError("--n is required for tableau kinds")
         objects = tableaux.enumerate_tableaux(_TABLEAU_KIND[args.kind], shape, args.n)
     if args.count_only:
         print(sum(1 for _ in objects))
@@ -61,21 +64,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sf(args) -> int:
+    shape = _parse_shape(args.kind, args.shape)
     if args.kind in _SF_KINDS:
-        kind = _SF_KINDS[args.kind]
-        strict = kind not in ("schur", "factorialSchur")
-        shape = parse_strict_partition(args.shape) if strict else parse_partition(args.shape)
-        text = harness.cached_tableau_sum(kind, shape, args.n)
-    elif args.kind == "lemma1-det":
-        text = poly.canonical(
-            symfun.det_formula("lemma1", parse_partition(args.shape), args.n)
-        )
-    elif args.kind == "lemma2-det":
-        text = poly.canonical(
-            symfun.det_formula("lemma2", parse_strict_partition(args.shape), args.n)
-        )
+        text = harness.cached_tableau_sum(_SF_KINDS[args.kind], shape, args.n)
     else:
-        raise SystemExit(f"unknown sf kind {args.kind!r}")
+        det_kind = args.kind.removesuffix("-det")
+        text = poly.canonical(symfun.det_formula(det_kind, shape, args.n))
     print(json.dumps({"polynomial": text}) if args.json else text)
     return 0
 
@@ -88,22 +82,18 @@ def _cmd_bijection(args) -> int:
         g = combin.gtp_from_shifted(Tableau.from_json(data))
     elif src == "gtp":
         g = combin.GTPattern.from_json(data)
-    elif src == "asm":
-        g = combin.gtp_from_asm(combin.ASM.from_json(data))
     else:
-        raise SystemExit(f"unknown source {src!r}")
+        g = combin.gtp_from_asm(combin.ASM.from_json(data))
     if dst == "gtp":
         out = g.to_json()
     elif dst == "asm":
         out = combin.asm_from_gtp(g).to_json()
     elif dst == "cpm":
         out = combin.cpm_from_asm(combin.asm_from_gtp(g)).to_json()
-    elif dst == "sic":
+    else:
         text = sixvertex.render_sic(combin.cpm_from_asm(combin.asm_from_gtp(g)))
         print(json.dumps({"sic": text}) if args.json else text)
         return 0
-    else:
-        raise SystemExit(f"unknown target {dst!r}")
     print(json.dumps(out))
     return 0
 
@@ -141,22 +131,14 @@ def _print_report(report: harness.IdentityReport, as_json: bool) -> None:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = harness.verify_identity(_spec_from_args(args))
-    except harness.BadParams as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    report = harness.verify_identity(_spec_from_args(args))
     _print_report(report, args.json)
     return 0 if report.passed else 1
 
 
 def _cmd_suite(args) -> int:
-    try:
-        specs = harness.load_suite_config(args.config) if args.config else None
-        reports = harness.run_suite(specs)
-    except (harness.BadConfig, harness.BadParams) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    specs = harness.load_suite_config(args.config) if args.config else None
+    reports = harness.run_suite(specs)
     for report in reports:
         _print_report(report, args.json)
     failed = sum(1 for r in reports if not r.passed)
@@ -222,7 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        # Python 3.11's argparse drops the value of `--shape=--`, leaving []
+        if any(isinstance(value, list) for value in vars(args).values()):
+            raise ValueError("'--' is not a valid option value")
+        return args.func(args)
+    except ValueError as e:  # every ftok domain error is a ValueError
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,33 +15,16 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from . import combin, paths, poly, sixvertex, symfun, tableaux
+from . import combin, paths, poly, sixvertex, symfun
 from .shapes import (
-    MuTooLong,
     Partition,
     StrictPartition,
     conjugate,
+    parse_partition,
+    parse_strict_partition,
     shape_for,
 )
 from .symfun import ShiftedAlphabet, q_poly, x_slot, y_slot
-
-IDENTITY_IDS = (
-    "theorem1P",
-    "theorem1Q",
-    "lemma1",
-    "lemma2",
-    "lemma3a",
-    "lemma3b",
-    "lemma4",
-    "cor1_ikeda",
-    "cor2_asm",
-    "cor3_gtp",
-    "cor4_tokuyama",
-    "cor5_bmn",
-    "cor6_lascoux",
-    "pathsLemma1",
-    "pathsLemma2",
-)
 
 CACHE_VERSION = "2"
 
@@ -100,94 +83,78 @@ def _get_int(params: dict, key: str) -> int:
     if key not in params:
         raise BadParams(f"missing parameter {key!r}")
     v = params[key]
-    if not isinstance(v, int):
+    if isinstance(v, bool) or not isinstance(v, int):
         raise BadParams(f"parameter {key!r} must be an integer, got {v!r}")
     return v
 
 
-def _get_n(params: dict) -> int:
+def _get_shape(params: dict, key: str, klass, parse):
+    if key not in params:
+        raise BadParams(f"missing parameter {key!r}")
+    v = params[key]
+    if isinstance(v, str):
+        try:
+            v = parse(v)
+        except ValueError as e:
+            raise BadParams(str(e)) from e
+    if not isinstance(v, klass):
+        raise BadParams(f"parameter {key!r} must be a {klass.__name__}, got {v!r}")
+    return v
+
+
+def _resolve(params: dict, names: tuple[str, ...]) -> list:
+    """The values of ``names`` read from ``params``, inside the shared domain.
+
+    Every identity needs ``n >= 1``.  ``mu`` has at most ``n`` nonzero parts;
+    ``lam`` is the ``lambda`` parameter with exactly ``n`` positive parts, or
+    else ``mu + delta``; ``m``, ``p`` and ``q`` are integers.  Anything else
+    raises ``BadParams``.
+    """
     n = _get_int(params, "n")
     if n < 1:
         raise BadParams(f"n must be at least 1, got {n}")
-    return n
-
-
-def _get_mu(params: dict) -> Partition:
-    if "mu" not in params:
-        raise BadParams("missing parameter 'mu'")
-    v = params["mu"]
-    if isinstance(v, Partition):
-        return v
-    if isinstance(v, str):
-        from .shapes import parse_partition
-
-        try:
-            return parse_partition(v)
-        except ValueError as e:
-            raise BadParams(str(e)) from e
-    raise BadParams(f"parameter 'mu' must be a partition, got {v!r}")
-
-
-def _mu_delta(params: dict, n: int) -> StrictPartition:
-    if "lambda" in params:
-        v = params["lambda"]
-        if isinstance(v, str):
-            from .shapes import parse_strict_partition
-
-            try:
-                v = parse_strict_partition(v)
-            except ValueError as e:
-                raise BadParams(str(e)) from e
-        if not isinstance(v, StrictPartition):
-            raise BadParams(f"parameter 'lambda' must be strict, got {v!r}")
-        if len(v.parts) != n or v.length() != n:
-            raise BadParams(f"lambda must have exactly {n} positive parts")
-        return v
-    mu = _get_mu(params)
-    try:
-        return shape_for(mu, n, "delta")
-    except MuTooLong as e:
-        raise BadParams(str(e)) from e
+    values = {"n": n}
+    for key in names:
+        if key in ("m", "p", "q"):
+            values[key] = _get_int(params, key)
+        elif key == "lam" and "lambda" in params:
+            lam = _get_shape(params, "lambda", StrictPartition, parse_strict_partition)
+            if len(lam.parts) != n or lam.length() != n:
+                raise BadParams(f"lambda must have exactly {n} positive parts")
+            values[key] = lam
+        elif key in ("mu", "lam"):
+            mu = _get_shape(params, "mu", Partition, parse_partition)
+            if mu.length() > n:
+                raise BadParams(f"{mu.parts} has more than {n} nonzero parts")
+            values[key] = mu if key == "mu" else shape_for(mu, n, "delta")
+    return [values[key] for key in names]
 
 
 # -- the individual identities ------------------------------------------
+#
+# Each check takes the resolved parameters its _CHECKS entry names and
+# returns (lhs, rhs).  It checks only the relations of its own identity.
 
-def _check_theorem1(params: dict, klass: str):
-    mu = _get_mu(params)
-    n = _get_n(params)
-    lam = _mu_delta({"mu": mu}, n)
+def _check_theorem1(mu: Partition, n: int, klass: str):
     kind = "factorialBigP" if klass == "P" else "factorialBigQ"
-    lhs = symfun.tableau_sum(kind, lam, n)
+    lhs = symfun.tableau_sum(kind, shape_for(mu, n, "delta"), n)
     rhs = symfun.theorem_rhs(mu, n, klass)
     return lhs, rhs
 
 
-def _check_lemma1(params: dict):
-    mu = _get_mu(params)
-    n = _get_n(params)
-    try:
-        lhs = symfun.det_formula("lemma1", mu, n)
-        rhs = symfun.tableau_sum("factorialSchur", mu.normalized(), n)
-    except (MuTooLong, tableaux.InvalidShapeForKind) as e:
-        raise BadParams(str(e)) from e
+def _check_lemma1(mu: Partition, n: int):
+    lhs = symfun.det_formula("lemma1", mu, n)
+    rhs = symfun.tableau_sum("factorialSchur", mu.normalized(), n)
     return lhs, rhs
 
 
-def _check_lemma2(params: dict):
-    n = _get_n(params)
-    lam = _mu_delta(params, n)
-    try:
-        lhs = symfun.det_formula("lemma2", lam, n)
-    except tableaux.InvalidShapeForKind as e:
-        raise BadParams(str(e)) from e
+def _check_lemma2(lam: StrictPartition, n: int):
+    lhs = symfun.det_formula("lemma2", lam, n)
     rhs = symfun.tableau_sum("factorialBigP", lam, n)
     return lhs, rhs
 
 
-def _check_lemma3a(params: dict):
-    m = _get_int(params, "m")
-    p = _get_int(params, "p")
-    n = _get_n(params)
+def _check_lemma3a(m: int, p: int, n: int):
     if not (m >= 0 and 1 <= p < n):
         raise BadParams(f"need m >= 0 and 1 <= p < n, got m={m}, p={p}, n={n}")
     left1 = symfun.interleaved_alphabet(p, n)
@@ -202,11 +169,7 @@ def _check_lemma3a(params: dict):
     return lhs, rhs
 
 
-def _check_lemma3b(params: dict):
-    m = _get_int(params, "m")
-    p = _get_int(params, "p")
-    q = _get_int(params, "q")
-    n = _get_n(params)
+def _check_lemma3b(m: int, p: int, q: int, n: int):
     if not (m >= 0 and 1 <= p < q <= n):
         raise BadParams(f"need 1 <= p < q <= n, got p={p}, q={q}, n={n}")
     l1 = [x_slot(r, r - p) for r in range(p, q)]
@@ -222,28 +185,18 @@ def _check_lemma3b(params: dict):
     return lhs, rhs
 
 
-def _check_lemma4(params: dict):
+def _check_lemma4(mu: Partition, n: int):
     # encoded as polynomials: sum of t^(#SW - #NE) against count * t^|mu|
-    mu = _get_mu(params)
-    n = _get_n(params)
-    lam = _mu_delta({"mu": mu}, n)
     tvar = poly.variable("t")
-    lhs = poly.ZERO
-    count = 0
-    for a in combin.enumerate_asm(lam):
-        c = combin.cpm_from_asm(a)
-        e = c.count("SW") - c.count("NE")
-        lhs = lhs + poly.var_poly(tvar, e)
-        count += 1
-    rhs = poly.const(count) * poly.var_poly(tvar, mu.weight())
+    cpms = map(combin.cpm_from_asm, combin.enumerate_asm(shape_for(mu, n, "delta")))
+    terms = [poly.var_poly(tvar, c.count("SW") - c.count("NE")) for c in cpms]
+    lhs = poly.poly_sum(terms)
+    rhs = poly.const(len(terms)) * poly.var_poly(tvar, mu.weight())
     return lhs, rhs
 
 
-def _check_cor1(params: dict):
-    mu = _get_mu(params)
-    n = _get_n(params)
-    lam = _mu_delta({"mu": mu}, n)
-    big_q = symfun.tableau_sum("factorialBigQ", lam, n)
+def _check_cor1(mu: Partition, n: int):
+    big_q = symfun.tableau_sum("factorialBigQ", shape_for(mu, n, "delta"), n)
     lhs = poly.substitute(big_q, {"y": lambda i: poly.x(i)})
     factors = [poly.const(2) * poly.x(i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
@@ -255,41 +208,34 @@ def _check_cor1(params: dict):
     return lhs, rhs
 
 
-def _check_cor2(params: dict):
-    mu = _get_mu(params)
-    n = _get_n(params)
+def _check_cor2(mu: Partition, n: int):
     lhs = sixvertex.partition_function(mu, n, "general")
     rhs = symfun.theorem_rhs(mu, n, "P")
     return lhs, rhs
 
 
-def _check_cor3(params: dict):
-    mu = _get_mu(params)
-    n = _get_n(params)
-    lam = _mu_delta({"mu": mu}, n)
+def _check_cor3(mu: Partition, n: int):
+    lam = shape_for(mu, n, "delta")
     lhs = poly.poly_sum(combin.weight_gtp(g) for g in combin.enumerate_gtp(lam))
     rhs = symfun.theorem_rhs(mu, n, "P")
     return lhs, rhs
 
 
-def _check_cor4(params: dict):
-    mu = _get_mu(params)
-    n = _get_n(params)
-    try:
-        top = shape_for(mu, n, "rho")
-    except MuTooLong as e:
-        raise BadParams(str(e)) from e
+def _tokuyama_weight(g: combin.GTPattern, n: int) -> poly.Polynomial:
+    counts = combin.triple_counts(g)
     tvar = poly.variable("t")
-    lhs = poly.ZERO
-    for g in combin.enumerate_gtp(top):
-        counts = combin.triple_counts(g)
-        term = poly.var_poly(tvar, counts["R"]) * (poly.ONE + poly.t()) ** counts["B"]
-        prev = 0
-        for i in range(1, n + 1):
-            cur = sum(g.rows[i - 1])
-            term = term * poly.var_poly(poly.variable("x", i), cur - prev)
-            prev = cur
-        lhs = lhs + term
+    term = poly.var_poly(tvar, counts["R"]) * (poly.ONE + poly.t()) ** counts["B"]
+    prev = 0
+    for i in range(1, n + 1):
+        cur = sum(g.rows[i - 1])
+        term = term * poly.var_poly(poly.variable("x", i), cur - prev)
+        prev = cur
+    return term
+
+
+def _check_cor4(mu: Partition, n: int):
+    top = shape_for(mu, n, "rho")
+    lhs = poly.poly_sum(_tokuyama_weight(g, n) for g in combin.enumerate_gtp(top))
     factors = [
         poly.x(i) + poly.t() * poly.x(j)
         for i in range(1, n + 1)
@@ -299,10 +245,7 @@ def _check_cor4(params: dict):
     return lhs, rhs
 
 
-def _check_cor5(params: dict):
-    mu = _get_mu(params)
-    n = _get_n(params)
-    mu.padded(n)
+def _check_cor5(mu: Partition, n: int):
     lhs = sixvertex.partition_function(mu, n, "bmn")
     s = symfun.tableau_sum("factorialSchur", mu.normalized(), n)
     s_zalpha = poly.substitute(
@@ -317,10 +260,7 @@ def _check_cor5(params: dict):
     return lhs, rhs
 
 
-def _check_cor6(params: dict):
-    mu = _get_mu(params)
-    n = _get_n(params)
-    mu.padded(n)
+def _check_cor6(mu: Partition, n: int):
     lhs = sixvertex.partition_function(mu, n, "lascoux")
     kappa = Partition(mu.padded(n)[i] + (n - 1 - i) for i in range(n))
     kappa_conj = conjugate(kappa)
@@ -336,50 +276,46 @@ def _check_cor6(params: dict):
     return lhs, rhs
 
 
-def _check_paths_lemma1(params: dict):
-    mu = _get_mu(params)
-    n = _get_n(params)
-    mu.padded(n)
+def _check_paths_lemma1(mu: Partition, n: int):
     lhs = paths.nonintersecting_sum("sst", mu, n)
     rhs = symfun.det_formula("lemma1", mu, n)
     return lhs, rhs
 
 
-def _check_paths_lemma2(params: dict):
-    n = _get_n(params)
-    lam = _mu_delta(params, n)
+def _check_paths_lemma2(lam: StrictPartition, n: int):
     lhs = paths.nonintersecting_sum("pst", lam, n)
     rhs = symfun.det_formula("lemma2", lam, n)
     return lhs, rhs
 
 
+# identity id -> (check, the parameter names _resolve hands it, in order)
 _CHECKS = {
-    "theorem1P": lambda p: _check_theorem1(p, "P"),
-    "theorem1Q": lambda p: _check_theorem1(p, "Q"),
-    "lemma1": _check_lemma1,
-    "lemma2": _check_lemma2,
-    "lemma3a": _check_lemma3a,
-    "lemma3b": _check_lemma3b,
-    "lemma4": _check_lemma4,
-    "cor1_ikeda": _check_cor1,
-    "cor2_asm": _check_cor2,
-    "cor3_gtp": _check_cor3,
-    "cor4_tokuyama": _check_cor4,
-    "cor5_bmn": _check_cor5,
-    "cor6_lascoux": _check_cor6,
-    "pathsLemma1": _check_paths_lemma1,
-    "pathsLemma2": _check_paths_lemma2,
+    "theorem1P": (lambda mu, n: _check_theorem1(mu, n, "P"), ("mu", "n")),
+    "theorem1Q": (lambda mu, n: _check_theorem1(mu, n, "Q"), ("mu", "n")),
+    "lemma1": (_check_lemma1, ("mu", "n")),
+    "lemma2": (_check_lemma2, ("lam", "n")),
+    "lemma3a": (_check_lemma3a, ("m", "p", "n")),
+    "lemma3b": (_check_lemma3b, ("m", "p", "q", "n")),
+    "lemma4": (_check_lemma4, ("mu", "n")),
+    "cor1_ikeda": (_check_cor1, ("mu", "n")),
+    "cor2_asm": (_check_cor2, ("mu", "n")),
+    "cor3_gtp": (_check_cor3, ("mu", "n")),
+    "cor4_tokuyama": (_check_cor4, ("mu", "n")),
+    "cor5_bmn": (_check_cor5, ("mu", "n")),
+    "cor6_lascoux": (_check_cor6, ("mu", "n")),
+    "pathsLemma1": (_check_paths_lemma1, ("mu", "n")),
+    "pathsLemma2": (_check_paths_lemma2, ("lam", "n")),
 }
+
+IDENTITY_IDS = tuple(_CHECKS)
 
 
 def verify_identity(spec: IdentitySpec) -> IdentityReport:
     if spec.id not in _CHECKS:
         raise BadParams(f"unknown identity id {spec.id!r}")
     start = time.perf_counter()
-    try:
-        lhs, rhs = _CHECKS[spec.id](spec.params)
-    except MuTooLong as e:
-        raise BadParams(str(e)) from e
+    check, names = _CHECKS[spec.id]
+    lhs, rhs = check(*_resolve(spec.params, names))
     diff_text = poly.canonical(lhs - rhs)
     passed = diff_text == "0"
     lhs_text = poly.canonical(lhs)

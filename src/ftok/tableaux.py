@@ -226,7 +226,12 @@ def _admissible(kind, cells, i, j, e) -> bool:
 
 
 def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
-    """All valid fillings, each exactly once, in row-major / entry-ascending order."""
+    """All valid fillings, each exactly once, in row-major / entry-ascending order.
+
+    ``n = 0`` is the empty alphabet, so only the empty shape has a filling.
+    """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     order = diagram_cells(kind, shape)
     alphabet = _alphabet(kind, n)
     cells: dict = {}

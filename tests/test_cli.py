@@ -1,8 +1,18 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ftok import cli, combin
+from ftok import cli, combin, harness, sixvertex
 from ftok.shapes import StrictPartition
 from ftok.tableaux import Tableau
 
@@ -180,6 +190,10 @@ def test_suite_bad_config(tmp_path, capsys):
     code, _, err = run(capsys, "suite", "--config", str(cfg))
     assert code == 2
     assert "error:" in err
+    cfg.write_text(json.dumps([{"id": "lemma1", "mu": "1", "n": True}]))
+    code, out, err = run(capsys, "suite", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "error:" in err
 
 
 def test_suite_json_reports(tmp_path, capsys):
@@ -189,3 +203,90 @@ def test_suite_json_reports(tmp_path, capsys):
     assert code == 0
     blob = json.loads(out.strip())
     assert blob["id"] == "lemma3a" and blob["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sf --kind p --shape 2,2 --n 3",
+        "enumerate --kind asm --shape 3,3 --count-only",
+        "enumerate --kind sst --shape 2,1 --n -1 --count-only",
+        "enumerate --kind sst --shape 2,1 --count-only",
+        "sf --kind lemma2-det --shape 3,2 --n 3",
+        "sf --kind schur --shape a --n 2",
+        "zfunc --variant bmn --mu 3,2,1 --n 2",
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_module_entry_bad_input_exits_2():
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "ftok.cli", "zfunc", "--variant", "bmn", "--mu", "1", "--n", "0"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+# Shape text that parses, fails to parse, or parses to a shape too long for n;
+# parts stay below 4 so that every identity is quick to expand.
+shape_texts = st.lists(
+    st.sampled_from(["0", "1", "2", "3", "-1", "", " ", "a", "-", "--"]), max_size=4
+).map(",".join)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["sf", "enumerate", "zfunc", "verify"]))
+    shape = draw(shape_texts)
+    n = draw(st.integers(-1, 3))
+    if command == "sf":
+        kinds = ["schur", "factorial-schur", "p", "q", "factorial-p", "factorial-q"]
+        kind = draw(st.sampled_from(kinds + ["lemma1-det", "lemma2-det"]))
+        return ["sf", "--kind", kind, f"--shape={shape}", f"--n={n}"]
+    if command == "enumerate":
+        kind = draw(st.sampled_from(["sst", "shifted", "primed-p", "primed-q", "gtp", "asm"]))
+        argv = ["enumerate", "--kind", kind, f"--shape={shape}"]
+        if draw(st.booleans()):
+            argv.append(f"--n={n}")
+        return argv + draw(st.sampled_from([[], ["--count-only"], ["--json"]]))
+    if command == "zfunc":
+        variant = draw(st.sampled_from(sixvertex.VARIANTS))
+        return ["zfunc", "--variant", variant, f"--mu={shape}", f"--n={n}"]
+    argv = ["verify", "--id", draw(st.sampled_from(harness.IDENTITY_IDS))]
+    for flag in ("mu", "lambda"):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(shape_texts)}")
+    for flag in ("n", "m", "p", "q"):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(st.integers(-1, 3))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_cli_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "cache")
+        with mock.patch.dict(os.environ, {"FTOK_CACHE_DIR": cache}):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error:"), argv
+            assert not os.path.exists(cache), argv
+        elif code == 1:
+            assert argv[0] == "verify" and out.getvalue().startswith("FAIL"), argv
+        else:
+            assert code == 0, argv

@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftok import harness
 from ftok.harness import IdentityReport, IdentitySpec
@@ -57,8 +59,11 @@ def test_bad_params():
                 harness.verify_identity(IdentitySpec(ident, {"lambda": lam, "n": n}))
     with pytest.raises(harness.BadParams):
         harness.verify_identity(IdentitySpec("lemma1", {"n": 2}))
+    for n in ("2", True, False):
+        with pytest.raises(harness.BadParams):
+            harness.verify_identity(IdentitySpec("lemma1", {"mu": "1", "n": n}))
     with pytest.raises(harness.BadParams):
-        harness.verify_identity(IdentitySpec("lemma1", {"mu": "1", "n": "2"}))
+        harness.verify_identity(IdentitySpec("lemma3a", {"m": True, "p": 1, "n": 2}))
     with pytest.raises(harness.BadParams):
         harness.verify_identity(IdentitySpec("lemma3a", {"m": 1, "p": 2, "n": 2}))
     with pytest.raises(harness.BadParams):
@@ -66,6 +71,39 @@ def test_bad_params():
         harness.verify_identity(
             IdentitySpec("theorem1P", {"mu": Partition((1, 1, 1)), "n": 2})
         )
+
+
+# Shape text that parses, fails to parse, or parses to a shape too long for n;
+# parts stay below 4 so that every identity is quick to expand.
+shape_texts = st.lists(
+    st.sampled_from(["0", "1", "2", "3", "-1", "", " ", "a", "-", "--"]), max_size=4
+).map(",".join)
+int_params = st.one_of(
+    st.integers(-1, 3), st.booleans(), st.sampled_from(["2", 2.0, None])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(harness.IDENTITY_IDS + ("nope",)),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "mu": shape_texts,
+            "lambda": shape_texts,
+            "n": int_params,
+            "m": int_params,
+            "p": int_params,
+            "q": int_params,
+        },
+    ),
+)
+def test_verify_identity_passes_or_rejects(ident, params):
+    try:
+        report = harness.verify_identity(IdentitySpec(ident, params))
+    except harness.BadParams:
+        return
+    assert report.passed, report.to_json()
 
 
 def test_report_json_shape():
