@@ -5,9 +5,9 @@ output uses the canonical text form; object output uses the JSON forms of the
 owning modules.  ``sf`` tableau sums are cached as canonical text under the
 FTOK_CACHE_DIR environment variable (default .ftok-cache/).  Every subcommand
 exits 2 with ``error: ...`` on stderr and nothing on stdout when its input is
-outside the domain (a bad shape, parameter or suite config); ``verify`` and
-``suite`` exit 0 on pass and 1 on a failed identity.  ``suite --json`` prints
-one report per line.
+outside the domain (a bad shape, parameter, suite config or bijection input
+file); ``verify`` and ``suite`` exit 0 on pass and 1 on a failed identity.
+``suite --json`` prints one report per line.
 """
 
 from __future__ import annotations
@@ -75,13 +75,17 @@ def _cmd_sf(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise ValueError(f"cannot read {args.input}: {e.strerror}") from e
     src, dst = args.source, args.target
     if src == "shifted":
         g = combin.gtp_from_shifted(Tableau.from_json(data))
     elif src == "gtp":
         g = combin.GTPattern.from_json(data)
+        combin.validate_gtp(g)
     else:
         g = combin.gtp_from_asm(combin.ASM.from_json(data))
     if dst == "gtp":

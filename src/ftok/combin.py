@@ -1,5 +1,6 @@
 """Strict Gelfand-Tsetlin patterns, alternating sign matrices, compass point
-matrices, and the weight functions tying them to shifted tableaux.
+matrices, and the weight functions tying them to shifted tableaux, row by row;
+``row_transfer`` sums a row weight over all chains of interlacing rows.
 
 GT pattern rows are stored bottom-up: ``rows[0]`` is the single bottom entry
 and ``rows[n-1]`` is the top row (the shape).  ASM rows run top-down, so ASM
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly, tableaux
-from .shapes import StrictPartition
+from .shapes import StrictPartition, interlacing
 from .tableaux import CellEntry, InvalidTableau, Tableau
 
 CPM_LETTERS = ("WE", "NS", "NE", "SE", "NW", "SW")
@@ -57,7 +58,10 @@ class GTPattern:
 
     @staticmethod
     def from_json(data: dict) -> "GTPattern":
-        return GTPattern(data["rows"])
+        try:
+            return GTPattern(data["rows"])
+        except (KeyError, TypeError) as e:
+            raise InvalidPattern(f"malformed GTPattern JSON: {e!r}") from e
 
 
 def validate_gtp(g: GTPattern) -> None:
@@ -68,8 +72,8 @@ def validate_gtp(g: GTPattern) -> None:
     for i, row in enumerate(rows, start=1):
         if len(row) != i:
             raise InvalidPattern(f"row {i} has {len(row)} entries, want {i}")
-        if any(v < 0 for v in row):
-            raise InvalidPattern(f"negative entry in row {i}")
+        if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in row):
+            raise InvalidPattern(f"row {i} has an entry that is not a nonnegative integer")
         if any(row[j] <= row[j + 1] for j in range(i - 1)):
             raise InvalidPattern(f"row {i} not strictly decreasing: {row}")
     for i in range(2, n + 1):
@@ -100,7 +104,10 @@ class ASM:
 
     @staticmethod
     def from_json(data: dict) -> "ASM":
-        return ASM(data["entries"], StrictPartition(data["shape"]))
+        try:
+            return ASM(data["entries"], StrictPartition(data["shape"]))
+        except (KeyError, TypeError) as e:
+            raise InvalidASM(f"malformed ASM JSON: {e!r}") from e
 
 
 def validate_asm(a: ASM) -> None:
@@ -153,7 +160,10 @@ class CPM:
 
     @staticmethod
     def from_json(data: dict) -> "CPM":
-        return CPM(data["entries"], StrictPartition(data["shape"]))
+        try:
+            return CPM(data["entries"], StrictPartition(data["shape"]))
+        except (KeyError, TypeError) as e:
+            raise InvalidCPM(f"malformed CPM JSON: {e!r}") from e
 
 
 # -- shifted tableau <-> GT pattern -------------------------------------
@@ -230,36 +240,40 @@ def gtp_from_asm(a: ASM) -> GTPattern:
 
 # -- ASM -> CPM ---------------------------------------------------------
 
+def cpm_row(above, below, width: int) -> tuple[str, ...]:
+    """Compass letters of one row of ice, columns 1..width.
+
+    ``above`` and ``below`` hold the columns whose partial column sum of the
+    ASM is 1 before and after this row: the Gelfand-Tsetlin rows i - 1 and i
+    (a 0 entry names no column).  An entry is the change of that sum; a zero
+    entry reads N when the sum above it is 1 and W when the nearest nonzero
+    entry to its right is a 1.
+    """
+    letters = []
+    east_one = False
+    for j in range(width, 0, -1):
+        v = (j in below) - (j in above)
+        if v == 1:
+            letters.append("WE")
+        elif v == -1:
+            letters.append("NS")
+        else:
+            letters.append(("N" if j in above else "S") + ("W" if east_one else "E"))
+        if v:
+            east_one = v == 1
+    return tuple(reversed(letters))
+
+
 def cpm_from_asm(a: ASM) -> CPM:
     validate_asm(a)
-    n, m = a.dims()
-
-    def north(i, j):
-        for i2 in range(i - 1, 0, -1):
-            if a.entries[i2 - 1][j - 1]:
-                return a.entries[i2 - 1][j - 1]
-        return -1
-
-    def east(i, j):
-        for j2 in range(j + 1, m + 1):
-            if a.entries[i - 1][j2 - 1]:
-                return a.entries[i - 1][j2 - 1]
-        return -1
-
+    _, m = a.dims()
     entries = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, m + 1):
-            v = a.entries[i - 1][j - 1]
-            if v == 1:
-                row.append("WE")
-            elif v == -1:
-                row.append("NS")
-            else:
-                first = "N" if north(i, j) == 1 else "S"
-                second = "W" if east(i, j) == 1 else "E"
-                row.append(first + second)
-        entries.append(row)
+    above: set[int] = set()
+    for row in a.entries:
+        # partial column sums are 0 or 1, so a nonzero entry flips its column
+        below = above ^ {j for j, v in enumerate(row, start=1) if v}
+        entries.append(cpm_row(above, below, m))
+        above = below
     return CPM(entries, a.shape)
 
 
@@ -308,17 +322,31 @@ class BoltzmannTable:
         raise ValueError(f"unknown variant {self.variant!r}")
 
 
+def cpm_row_weight(
+    letters, i: int, table: BoltzmannTable, include_diagonal_prefactor: bool = False
+) -> poly.Polynomial:
+    """The factors of ``weight_cpm`` that row i, with these letters, contributes."""
+    factors = [table.weight_of(letter, i, j) for j, letter in enumerate(letters, start=1)]
+    if include_diagonal_prefactor:
+        factors.append(poly.x(i))
+    return poly.product(factors)
+
+
 def weight_cpm(
     c: CPM, table: BoltzmannTable, include_diagonal_prefactor: bool = False
 ) -> poly.Polynomial:
-    n, m = c.dims()
-    factors = []
-    if include_diagonal_prefactor:
-        factors.extend(poly.x(i) for i in range(1, n + 1))
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            factors.append(table.weight_of(c.entries[i - 1][j - 1], i, j))
-    return poly.product(factors)
+    return poly.product(
+        cpm_row_weight(letters, i, table, include_diagonal_prefactor)
+        for i, letters in enumerate(c.entries, start=1)
+    )
+
+
+def row_labels(row: tuple[int, ...], lower: tuple[int, ...]) -> list[str]:
+    """L/R/B for the triples (row[j], lower[j], row[j + 1]) of one pattern row."""
+    return [
+        "L" if top == mid else "R" if mid == nxt else "B"
+        for top, mid, nxt in zip(row, lower, row[1:])
+    ]
 
 
 def classify_triples(g: GTPattern) -> dict[tuple[int, int], str]:
@@ -326,16 +354,8 @@ def classify_triples(g: GTPattern) -> dict[tuple[int, int], str]:
     validate_gtp(g)
     labels = {}
     for i in range(2, g.n() + 1):
-        for j in range(1, i):
-            top = g.entry(i, j)
-            mid = g.entry(i - 1, j)
-            nxt = g.entry(i, j + 1)
-            if top == mid:
-                labels[(i, j)] = "L"
-            elif mid == nxt:
-                labels[(i, j)] = "R"
-            else:
-                labels[(i, j)] = "B"
+        for j, label in enumerate(row_labels(g.rows[i - 1], g.rows[i - 2]), start=1):
+            labels[(i, j)] = label
     return labels
 
 
@@ -353,53 +373,80 @@ def _x_plus_a(i: int, k: int) -> poly.Polynomial:
     return poly.x(i) if k == 0 else poly.x(i) + poly.a(k)
 
 
-def weight_gtp(g: GTPattern) -> poly.Polynomial:
-    validate_gtp(g)
-    labels = classify_triples(g)
-    factors = []
-    for i in range(1, g.n() + 1):
-        for k in range(g.entry(i, i)):
-            factors.append(_x_plus_a(i, k))
-    for (i, j), label in labels.items():
-        mid = g.entry(i - 1, j)
+def gtp_row_weight(i: int, row: tuple[int, ...], lower: tuple[int, ...]) -> poly.Polynomial:
+    """The factors of ``weight_gtp`` that row i contributes, with row i - 1
+    (``lower``, empty for the bottom row) beneath it."""
+    factors = [_x_plus_a(i, k) for k in range(row[-1])]
+    for top, mid, label in zip(row, lower, row_labels(row, lower)):
         if label == "B":
             factors.append(poly.x(i) + poly.y(i))
         elif label == "R":
             factors.append(poly.y(i) if mid == 0 else poly.y(i) - poly.a(mid))
-        for k in range(mid + 1, g.entry(i, j)):
-            factors.append(_x_plus_a(i, k))
+        factors.extend(_x_plus_a(i, k) for k in range(mid + 1, top))
     return poly.product(factors)
+
+
+def weight_gtp(g: GTPattern) -> poly.Polynomial:
+    validate_gtp(g)
+    rows = ((),) + g.rows
+    return poly.product(gtp_row_weight(i, rows[i], rows[i - 1]) for i in range(1, g.n() + 1))
 
 
 # -- enumeration --------------------------------------------------------
 
-def enumerate_gtp(top: StrictPartition):
-    """All strict patterns with the given top row, in deterministic order."""
+def _check_top(top: StrictPartition) -> None:
     n = len(top.parts)
     if n == 0 or top.length() < n - 1:
         raise InvalidShape(f"top row {top.parts} is not a valid shape")
 
+
+def enumerate_gtp(top: StrictPartition):
+    """All strict patterns with the given top row, in deterministic order."""
+    _check_top(top)
+
     def fill(rows_topdown):
         upper = rows_topdown[-1]
-        i = len(upper)
-        if i == 1:
-            yield GTPattern(list(reversed(rows_topdown)))
+        if len(upper) == 1:
+            yield GTPattern(reversed(rows_topdown))
             return
-
-        def choose(j, partial):
-            if j == i - 1:
-                yield from fill(rows_topdown + [tuple(partial)])
-                return
-            hi = upper[j]
-            lo = max(upper[j + 1], 0)
-            if partial:
-                hi = min(hi, partial[-1] - 1)
-            for v in range(hi, lo - 1, -1):
-                yield from choose(j + 1, partial + [v])
-
-        yield from choose(0, [])
+        for lower in interlacing(upper, strict=True):
+            yield from fill(rows_topdown + [lower])
 
     yield from fill([tuple(top.parts)])
+
+
+def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynomial:
+    """Sum over the chains ``top = row_k, row_(k-1), ..., row_0 = ()`` of rows
+    from ``shapes.interlacing(row_i, strict)`` of the product of
+    ``row_weight(i, row_i, row_(i-1))``.
+
+    Row transfer: ``H(row) = sum_lower row_weight(len(row), row, lower) *
+    H(lower)`` from ``H(()) = 1``, memoised on the row for this call only, so
+    each row reachable from ``top`` is summed once however many chains pass
+    through it.
+    """
+    memo = {(): poly.ONE}
+
+    def h(row):
+        got = memo.get(row)
+        if got is None:
+            got = memo[row] = poly.poly_sum(
+                row_weight(len(row), row, lower) * h(lower)
+                for lower in interlacing(row, strict)
+            )
+        return got
+
+    return h(top)
+
+
+def gt_row_sum(top: StrictPartition, row_weight) -> poly.Polynomial:
+    """Sum over the strict patterns with top row ``top`` of the product of
+    ``row_weight(i, row, lower)`` over their rows i (``lower`` is row i - 1,
+    empty for the bottom row), as a :func:`row_transfer`.  The sum over
+    ``enumerate_gtp(top)`` is its oracle.
+    """
+    _check_top(top)
+    return row_transfer(tuple(top.parts), row_weight, strict=True)
 
 
 def enumerate_asm(shape: StrictPartition):

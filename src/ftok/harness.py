@@ -215,27 +215,23 @@ def _check_cor2(mu: Partition, n: int):
 
 
 def _check_cor3(mu: Partition, n: int):
-    lam = shape_for(mu, n, "delta")
-    lhs = poly.poly_sum(combin.weight_gtp(g) for g in combin.enumerate_gtp(lam))
+    lhs = combin.gt_row_sum(shape_for(mu, n, "delta"), combin.gtp_row_weight)
     rhs = symfun.theorem_rhs(mu, n, "P")
     return lhs, rhs
 
 
-def _tokuyama_weight(g: combin.GTPattern, n: int) -> poly.Polynomial:
-    counts = combin.triple_counts(g)
-    tvar = poly.variable("t")
-    term = poly.var_poly(tvar, counts["R"]) * (poly.ONE + poly.t()) ** counts["B"]
-    prev = 0
-    for i in range(1, n + 1):
-        cur = sum(g.rows[i - 1])
-        term = term * poly.var_poly(poly.variable("x", i), cur - prev)
-        prev = cur
-    return term
+def _tokuyama_row_weight(i: int, row: tuple, lower: tuple) -> poly.Polynomial:
+    # t^#R (1 + t)^#B over the row's triples, times x_i^(|row| - |lower|)
+    labels = combin.row_labels(row, lower)
+    return (
+        poly.var_poly(poly.variable("t"), labels.count("R"))
+        * (poly.ONE + poly.t()) ** labels.count("B")
+        * poly.var_poly(poly.variable("x", i), sum(row) - sum(lower))
+    )
 
 
 def _check_cor4(mu: Partition, n: int):
-    top = shape_for(mu, n, "rho")
-    lhs = poly.poly_sum(_tokuyama_weight(g, n) for g in combin.enumerate_gtp(top))
+    lhs = combin.gt_row_sum(shape_for(mu, n, "rho"), _tokuyama_row_weight)
     factors = [
         poly.x(i) + poly.t() * poly.x(j)
         for i in range(1, n + 1)

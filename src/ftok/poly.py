@@ -271,7 +271,8 @@ def alpha(j: int) -> Polynomial:
 def product(factors: Iterable[Polynomial]) -> Polynomial:
     res = ONE
     for f in factors:
-        res = res * f
+        if f is not ONE:  # res * ONE would only copy res
+            res = res * f
     return res
 
 

@@ -7,7 +7,9 @@ objects (Gelfand-Tsetlin top rows and the rho offset are zero-sensitive);
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 
 class MuTooLong(ValueError):
@@ -123,6 +125,23 @@ def shape_for(mu: Partition, n: int, offset: str) -> StrictPartition:
     padded = mu.padded(n)
     shift = 1 if offset == "delta" else 0
     return StrictPartition(padded[i] + (n - i - 1 + shift) for i in range(n))
+
+
+def interlacing(upper: tuple[int, ...], strict: bool) -> Iterator[tuple[int, ...]]:
+    """Rows ``lower`` of ``len(upper) - 1`` entries with
+    ``upper[j] >= lower[j] >= upper[j + 1]``, in decreasing lexicographic order.
+
+    With ``strict`` only rows whose positive entries strictly decrease are
+    kept.  These are the rows below ``upper`` in a Gelfand-Tsetlin pattern, and
+    the shapes ``nu`` for which ``upper / nu`` is one letter's strip of a
+    semistandard (or primed shifted) tableau.
+    """
+    rows = itertools.product(
+        *(range(upper[j], upper[j + 1] - 1, -1) for j in range(len(upper) - 1))
+    )
+    if strict:
+        return (r for r in rows if all(p > q or p == 0 for p, q in zip(r, r[1:])))
+    return rows
 
 
 def young_cells(shape: Partition) -> list[tuple[int, int]]:

@@ -1,8 +1,8 @@
 """Square ice partition functions and configuration rendering.
 
 Configurations are represented by compass point matrices; the square-ice
-picture is a rendering.  Partition functions are exact enumerations over the
-admissible configuration set for the boundary shape mu + delta.
+picture is a rendering.  Partition functions are exact row-transfer sums over
+the admissible configurations for the boundary shape mu + delta.
 """
 
 from __future__ import annotations
@@ -20,15 +20,21 @@ def boltzmann_table(variant: str) -> combin.BoltzmannTable:
 
 
 def partition_function(mu: Partition, n: int, variant: str) -> poly.Polynomial:
-    """Sum of configuration weights over the boundary shape mu + delta."""
+    """Sum of configuration weights over the boundary shape mu + delta.
+
+    A configuration's row i is fixed by its Gelfand-Tsetlin rows i - 1 and i,
+    so this is ``combin.gt_row_sum`` over the rows' ice weights.
+    """
     table = boltzmann_table(variant)
     lam = shape_for(mu, n, "delta")
-    return poly.poly_sum(
-        combin.weight_cpm(
-            combin.cpm_from_asm(a), table, include_diagonal_prefactor=(variant == "general")
+    width = lam.breadth()
+
+    def row_weight(i, row, lower):
+        return combin.cpm_row_weight(
+            combin.cpm_row(lower, row, width), i, table, variant == "general"
         )
-        for a in combin.enumerate_asm(lam)
-    )
+
+    return combin.gt_row_sum(lam, row_weight)
 
 
 def render_sic(c: combin.CPM) -> str:

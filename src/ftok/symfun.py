@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import poly, tableaux
-from .shapes import MuTooLong, Partition, StrictPartition
+from . import combin, poly, tableaux
+from .shapes import Partition, StrictPartition
 from .tableaux import InvalidShapeForKind
 
 TABLEAU_KINDS = (
@@ -135,7 +135,15 @@ _KIND_TO_TABLEAU = {
 
 @functools.cache
 def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
-    """Weighted tableau sum; the plain kinds are the a -> 0 specializations."""
+    """Weighted tableau sum; the plain kinds are the a -> 0 specializations.
+
+    The cells holding entries ``<= k`` form a shape ``kappa_k`` with at most
+    k rows, and ``kappa_k / kappa_(k-1)`` is the strip of the letter k.  So the
+    sum is ``combin.row_transfer`` of ``tableaux.strip_sum`` down from the
+    shape padded to n rows, over strict rows for the primed kinds.  The
+    brute-force sum of ``tableaux.weight`` over ``tableaux.enumerate_tableaux``
+    is its oracle.
+    """
     if kind not in TABLEAU_KINDS:
         raise InvalidShapeForKind(f"unknown symmetric function kind {kind!r}")
     tkind = _KIND_TO_TABLEAU[kind]
@@ -143,8 +151,15 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
         raise InvalidShapeForKind(f"{kind} needs a Partition shape")
     if tkind != "sst" and not isinstance(shape, StrictPartition):
         raise InvalidShapeForKind(f"{kind} needs a StrictPartition shape")
-    total = poly.poly_sum(
-        tableaux.weight(t) for t in tableaux.enumerate_tableaux(tkind, shape, n)
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    parts = tuple(p for p in shape.parts if p > 0)
+    if len(parts) > n:
+        return poly.ZERO
+    total = combin.row_transfer(
+        parts + (0,) * (n - len(parts)),
+        lambda k, outer, inner: tableaux.strip_sum(tkind, outer, inner),
+        strict=tkind != "sst",
     )
     if kind in ("schur", "bigP", "bigQ"):
         total = poly.substitute(total, {"a": poly.ZERO})

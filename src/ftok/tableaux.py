@@ -104,14 +104,18 @@ class Tableau:
 
     @staticmethod
     def from_json(data: dict) -> "Tableau":
-        kind = data["kind"]
-        shape = _shape_for_kind(kind, data["shape"])
-        cells = {}
-        for i, row in enumerate(data["rows"], start=1):
-            offset = i if kind != "sst" else 1
-            for k, text in enumerate(row):
-                cells[(i, offset + k)] = CellEntry.from_str(text)
-        return Tableau(kind, shape, int(data["n"]), cells)
+        try:
+            kind = data["kind"]
+            shape = _shape_for_kind(kind, data["shape"])
+            cells = {}
+            for i, row in enumerate(data["rows"], start=1):
+                offset = i if kind != "sst" else 1
+                for k, text in enumerate(row):
+                    cells[(i, offset + k)] = CellEntry.from_str(text)
+            n = int(data["n"])
+        except (KeyError, TypeError, AttributeError) as e:
+            raise InvalidTableau(f"malformed tableau JSON: {e!r}") from e
+        return Tableau(kind, shape, n, cells)
 
 
 def _shape_for_kind(kind, parts):
@@ -250,14 +254,29 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     return fill(0)
 
 
+def cell_weight(kind: str, i: int, j: int, k: int, primed: bool) -> poly.Polynomial:
+    """Weight of the entry k (k' when ``primed``) in cell (i, j) of an sst or
+    primed tableau.
+
+    sst: x_k + a_{k+j-i}.  Primed kinds: x_k (k on the diagonal), y_k (k' on
+    the diagonal, Q class only), x_k + a_{j-i} and y_k - a_{j-i} off the
+    diagonal.
+    """
+    if kind == "sst":
+        return poly.x(k) + poly.a(k + j - i)
+    if i == j:
+        return poly.y(k) if primed else poly.x(k)
+    if primed:
+        return poly.y(k) - poly.a(j - i)
+    return poly.x(k) + poly.a(j - i)
+
+
 def weight(t: Tableau) -> poly.Polynomial:
     """Product of cell weights; raises InvalidTableau on an invalid filling.
 
-    sst cell (i,j)=k weighs x_k + a_{k+j-i}.  Primed tableaux weigh x_k (k on
-    the diagonal), y_k (k' on the diagonal, Q class only), x_k + a_{j-i} and
-    y_k - a_{j-i} off the diagonal.  Shifted tableaux carry the collapsed
-    weights: x_k on the diagonal, x_k + a_{j-i} under a repeat to the left,
-    y_k - a_{j-i} above a repeat below, else x_k + y_k.
+    sst and primed cells weigh :func:`cell_weight`.  Shifted tableaux carry the
+    collapsed weights: x_k on the diagonal, x_k + a_{j-i} under a repeat to the
+    left, y_k - a_{j-i} above a repeat below, else x_k + y_k.
     """
     v = validate(t)
     if v is not None:
@@ -266,24 +285,53 @@ def weight(t: Tableau) -> poly.Polynomial:
     factors = []
     for (i, j), e in sorted(cells.items()):
         k = e.value
-        if t.kind == "sst":
-            factors.append(poly.x(k) + poly.a(k + j - i))
-        elif t.kind in ("primedP", "primedQ"):
-            if i == j:
-                factors.append(poly.y(k) if e.primed else poly.x(k))
-            elif e.primed:
-                factors.append(poly.y(k) - poly.a(j - i))
-            else:
-                factors.append(poly.x(k) + poly.a(j - i))
-        else:  # shifted
-            if i == j:
-                factors.append(poly.x(k))
-            elif cells.get((i, j - 1)) == e:
-                factors.append(poly.x(k) + poly.a(j - i))
-            elif cells.get((i + 1, j)) == e:
-                factors.append(poly.y(k) - poly.a(j - i))
-            else:
-                factors.append(poly.x(k) + poly.y(k))
+        if t.kind != "shifted":
+            factors.append(cell_weight(t.kind, i, j, k, e.primed))
+        elif i == j:
+            factors.append(poly.x(k))
+        elif cells.get((i, j - 1)) == e:
+            factors.append(poly.x(k) + poly.a(j - i))
+        elif cells.get((i + 1, j)) == e:
+            factors.append(poly.y(k) - poly.a(j - i))
+        else:
+            factors.append(poly.x(k) + poly.y(k))
+    return poly.product(factors)
+
+
+def strip_sum(kind: str, outer: tuple[int, ...], inner: tuple[int, ...]) -> poly.Polynomial:
+    """Weighted sum over the fillings of the strip ``outer / inner`` by the
+    letter ``k = len(outer)`` (k and k' for the primed kinds).
+
+    ``outer`` and ``inner`` are the row lengths of the cells holding entries
+    ``<= k`` and ``<= k - 1``: a k-tuple and a (k-1)-tuple from
+    ``shapes.interlacing(outer, ...)``, so that the strip has at most one cell
+    in each column of an sst diagram.  In a primed tableau the strip's k'
+    cells form a vertical strip and its k cells a horizontal one: a cell with
+    a strip cell to its left holds k, a cell with a strip cell below it holds
+    k', and any other cell holds either (only k on the diagonal of a primedP
+    tableau).  Interlacing leaves no cell with both neighbours, so the cells
+    choose independently and the sum is a product over the cells.
+    """
+    k = len(outer)
+    inner = inner + (0,)
+    factors = []
+    for i, (lo, hi) in enumerate(zip(inner, outer), start=1):
+        if kind == "sst":
+            factors.extend(cell_weight(kind, i, j, k, False) for j in range(lo + 1, hi + 1))
+            continue
+        if lo == hi:
+            continue
+        j = i + lo  # the first strip cell of row i; the others hold k
+        if i < k and lo == outer[i] and inner[i] < outer[i]:
+            # the strip of row i + 1 ends in column j, under this cell
+            factors.append(cell_weight(kind, i, j, k, True))
+        elif kind == "primedP" and i == j:
+            factors.append(cell_weight(kind, i, j, k, False))
+        else:
+            factors.append(
+                cell_weight(kind, i, j, k, True) + cell_weight(kind, i, j, k, False)
+            )
+        factors.extend(cell_weight(kind, i, jj, k, False) for jj in range(j + 1, i + hi))
     return poly.product(factors)
 
 

@@ -13,11 +13,12 @@ import random
 from ftok import combin, harness, paths, poly, sixvertex, symfun, tableaux
 from ftok.combin import ASM, CPM, GTPattern
 from ftok.harness import IdentitySpec
-from ftok.shapes import Partition, StrictPartition, shape_for
+from ftok.shapes import StrictPartition, shape_for
 from ftok.tableaux import Tableau
 
 MU_SMALL = 3  # weight bound for the corollary / bijection ranges
 MU_MAIN = 4  # weight bound for the theorem / lemma 1-2 ranges
+MU_N4 = 2  # weight bound at n = 4; |mu| <= 4 there takes about 40 s for theorem1Q alone
 
 
 def _finish(capsys, num, label, bad):
@@ -41,7 +42,7 @@ def _main_range(ident):
     for n in (1, 2, 3):
         for mu in harness.partitions_up_to(MU_MAIN, n):
             specs.append(IdentitySpec(ident, {"mu": mu, "n": n}))
-    for mu in (Partition(), Partition((1,))):
+    for mu in harness.partitions_up_to(MU_N4, 4):
         specs.append(IdentitySpec(ident, {"mu": mu, "n": 4}))
     return specs
 
@@ -51,6 +52,13 @@ def _small_range(ident):
         IdentitySpec(ident, {"mu": mu, "n": n})
         for n in (1, 2, 3)
         for mu in harness.partitions_up_to(MU_SMALL, n)
+    ]
+
+
+def _corollary_range(ident):
+    """The small range plus n = 4, for the ASM, pattern and ice sums."""
+    return _small_range(ident) + [
+        IdentitySpec(ident, {"mu": mu, "n": 4}) for mu in harness.partitions_up_to(MU_N4, 4)
     ]
 
 
@@ -200,7 +208,7 @@ def test_criterion_06_corollary_1(capsys):
 
 
 def test_criterion_07_corollaries_2_3(capsys):
-    bad = _verify_all(_small_range("cor2_asm") + _small_range("cor3_gtp"))
+    bad = _verify_all(_corollary_range("cor2_asm") + _corollary_range("cor3_gtp"))
     _finish(capsys, 7, "corollaries 2-3 (matrix and pattern sums)", bad)
 
 
@@ -224,7 +232,7 @@ class _ShiftedTable:
 
 
 def test_criterion_09_corollary_5(capsys):
-    bad = _verify_all(_small_range("cor5_bmn"))
+    bad = _verify_all(_corollary_range("cor5_bmn"))
     base = combin.BoltzmannTable("bmn")
     shifted = _ShiftedTable()
     for n in (1, 2, 3):
@@ -254,7 +262,7 @@ def test_criterion_09_corollary_5(capsys):
 
 
 def test_criterion_10_corollary_6(capsys):
-    bad = _verify_all(_small_range("cor6_lascoux"))
+    bad = _verify_all(_corollary_range("cor6_lascoux"))
     _finish(capsys, 10, "corollary 6 (Laurent identity)", bad)
 
 

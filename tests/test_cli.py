@@ -215,9 +215,17 @@ def test_suite_json_reports(tmp_path, capsys):
         "sf --kind lemma2-det --shape 3,2 --n 3",
         "sf --kind schur --shape a --n 2",
         "zfunc --variant bmn --mu 3,2,1 --n 2",
+        "bijection --from shifted --to gtp --input missing.json",
+        "bijection --from shifted --to gtp --input no-shape.json",
+        "bijection --from gtp --to asm --input list.json",
+        "bijection --from gtp --to gtp --input not-strict.json",
     ],
 )
-def test_bad_input_exits_2(tmp_path, capsys, argv):
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "no-shape.json").write_text('{"kind": "shifted"}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "not-strict.json").write_text('{"rows": [[3], [1, 2]]}')
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("error:")
@@ -245,24 +253,48 @@ shape_texts = st.lists(
 ).map(",".join)
 
 
+# JSON values for bijection input: small, mostly malformed objects, and the
+# valid encodings of one pattern
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.sampled_from(["shifted", "1", "2'", "a"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "shape", "n", "rows", "entries"]), inner),
+    max_leaves=12,
+)
+_G = combin.GTPattern([(2,), (3, 1), (3, 2, 1)])
+valid_inputs = st.sampled_from(
+    [
+        combin.shifted_from_gtp(_G).to_json(),
+        _G.to_json(),
+        combin.asm_from_gtp(_G).to_json(),
+    ]
+)
+
+
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["sf", "enumerate", "zfunc", "verify"]))
+    """An argv and the JSON value of its input file (None: no file)."""
+    command = draw(st.sampled_from(["sf", "enumerate", "zfunc", "verify", "bijection"]))
     shape = draw(shape_texts)
     n = draw(st.integers(-1, 3))
     if command == "sf":
         kinds = ["schur", "factorial-schur", "p", "q", "factorial-p", "factorial-q"]
         kind = draw(st.sampled_from(kinds + ["lemma1-det", "lemma2-det"]))
-        return ["sf", "--kind", kind, f"--shape={shape}", f"--n={n}"]
+        return ["sf", "--kind", kind, f"--shape={shape}", f"--n={n}"], None
     if command == "enumerate":
         kind = draw(st.sampled_from(["sst", "shifted", "primed-p", "primed-q", "gtp", "asm"]))
         argv = ["enumerate", "--kind", kind, f"--shape={shape}"]
         if draw(st.booleans()):
             argv.append(f"--n={n}")
-        return argv + draw(st.sampled_from([[], ["--count-only"], ["--json"]]))
+        return argv + draw(st.sampled_from([[], ["--count-only"], ["--json"]])), None
     if command == "zfunc":
         variant = draw(st.sampled_from(sixvertex.VARIANTS))
-        return ["zfunc", "--variant", variant, f"--mu={shape}", f"--n={n}"]
+        return ["zfunc", "--variant", variant, f"--mu={shape}", f"--n={n}"], None
+    if command == "bijection":
+        source = draw(st.sampled_from(["shifted", "gtp", "asm"]))
+        target = draw(st.sampled_from(["gtp", "asm", "cpm", "sic"]))
+        argv = ["bijection", "--from", source, "--to", target, "--input", "in.json"]
+        return argv, draw(st.none() | valid_inputs | json_values)
     argv = ["verify", "--id", draw(st.sampled_from(harness.IDENTITY_IDS))]
     for flag in ("mu", "lambda"):
         if draw(st.booleans()):
@@ -270,15 +302,21 @@ def argvs(draw):
     for flag in ("n", "m", "p", "q"):
         if draw(st.booleans()):
             argv.append(f"--{flag}={draw(st.integers(-1, 3))}")
-    return argv
+    return argv, None
 
 
 @settings(max_examples=150, deadline=None)
 @given(argvs())
-def test_cli_exits_0_or_2(argv):
+def test_cli_exits_0_or_2(argv_and_input):
+    argv, data = argv_and_input
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cache = os.path.join(tmp, "cache")
+        if data is not None:
+            with open(os.path.join(tmp, "in.json"), "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        if argv[0] == "bijection":
+            argv = argv[:-1] + [os.path.join(tmp, argv[-1])]
         with mock.patch.dict(os.environ, {"FTOK_CACHE_DIR": cache}):
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(argv)
