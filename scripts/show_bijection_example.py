@@ -56,7 +56,7 @@ def main() -> int:
     w = tableaux.weight(t)
     table = combin.BoltzmannTable("general")
     assert combin.weight_gtp(g) == w
-    assert combin.weight_cpm(c, table, include_diagonal_prefactor=True) == w
+    assert combin.weight_cpm(c, table) == w
     print("\nshared weight:")
     print(poly.canonical(w))
     return 0

@@ -322,22 +322,20 @@ class BoltzmannTable:
         raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def cpm_row_weight(
-    letters, i: int, table: BoltzmannTable, include_diagonal_prefactor: bool = False
-) -> poly.Polynomial:
-    """The factors of ``weight_cpm`` that row i, with these letters, contributes."""
+def cpm_row_weight(letters, i: int, table: BoltzmannTable) -> poly.Polynomial:
+    """The factors of ``weight_cpm`` that row i, with these letters, contributes.
+
+    A row of the general table also carries the diagonal prefactor x_i.
+    """
     factors = [table.weight_of(letter, i, j) for j, letter in enumerate(letters, start=1)]
-    if include_diagonal_prefactor:
+    if table.variant == "general":
         factors.append(poly.x(i))
     return poly.product(factors)
 
 
-def weight_cpm(
-    c: CPM, table: BoltzmannTable, include_diagonal_prefactor: bool = False
-) -> poly.Polynomial:
+def weight_cpm(c: CPM, table: BoltzmannTable) -> poly.Polynomial:
     return poly.product(
-        cpm_row_weight(letters, i, table, include_diagonal_prefactor)
-        for i, letters in enumerate(c.entries, start=1)
+        cpm_row_weight(letters, i, table) for i, letters in enumerate(c.entries, start=1)
     )
 
 

@@ -196,8 +196,7 @@ def _check_lemma4(mu: Partition, n: int):
 
 
 def _check_cor1(mu: Partition, n: int):
-    big_q = symfun.tableau_sum("factorialBigQ", shape_for(mu, n, "delta"), n)
-    lhs = poly.substitute(big_q, {"y": lambda i: poly.x(i)})
+    lhs = symfun.tableau_sum("ikedaQ", shape_for(mu, n, "delta"), n)
     factors = [poly.const(2) * poly.x(i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -307,7 +306,7 @@ IDENTITY_IDS = tuple(_CHECKS)
 
 
 def verify_identity(spec: IdentitySpec) -> IdentityReport:
-    if spec.id not in _CHECKS:
+    if not isinstance(spec.id, str) or spec.id not in _CHECKS:
         raise BadParams(f"unknown identity id {spec.id!r}")
     start = time.perf_counter()
     check, names = _CHECKS[spec.id]
@@ -375,6 +374,10 @@ def default_suite() -> list[IdentitySpec]:
         for n in (1, 2, 3):
             for mu in partitions_up_to(3, n):
                 specs.append(IdentitySpec(ident, {"mu": mu, "n": n}))
+    for mu in partitions_up_to(2, 4):
+        specs.append(IdentitySpec("cor1_ikeda", {"mu": mu, "n": 4}))
+    for mu in partitions_up_to(1, 5):
+        specs.append(IdentitySpec("cor1_ikeda", {"mu": mu, "n": 5}))
     for n in (1, 2, 3):
         for mu in partitions_up_to(2, n):
             specs.append(IdentitySpec("pathsLemma2", {"mu": mu, "n": n}))

@@ -30,9 +30,7 @@ def partition_function(mu: Partition, n: int, variant: str) -> poly.Polynomial:
     width = lam.breadth()
 
     def row_weight(i, row, lower):
-        return combin.cpm_row_weight(
-            combin.cpm_row(lower, row, width), i, table, variant == "general"
-        )
+        return combin.cpm_row_weight(combin.cpm_row(lower, row, width), i, table)
 
     return combin.gt_row_sum(lam, row_weight)
 

@@ -1,9 +1,12 @@
 """Symmetric function constructors: tableau sums, one-row blocks, determinants.
 
-The one-row building blocks are ``h_poly`` (direct sum over weakly increasing
-index tuples) and ``q_poly`` (sum over slot multisets of a
-:class:`ShiftedAlphabet`).  The two Jacobi-Trudi style determinants and the
-identity right-hand sides sit on top of them.
+``KINDS`` names every tableau sum: a kind is a factorial tableau sum and the
+ring map that specialises it (``a := 0`` for the plain kinds, ``y := x`` for
+Ikeda's factorial Q-function), applied to each strip of the row transfer.
+The one-row building block is ``q_poly`` (sum over slot multisets of a
+:class:`ShiftedAlphabet`); ``h_poly`` is ``q_poly`` on the staircase alphabet.
+The two Jacobi-Trudi style determinants and the identity right-hand sides sit
+on top of them.
 """
 
 from __future__ import annotations
@@ -15,14 +18,18 @@ from . import combin, poly, tableaux
 from .shapes import Partition, StrictPartition
 from .tableaux import InvalidShapeForKind
 
-TABLEAU_KINDS = (
-    "schur",
-    "factorialSchur",
-    "bigP",
-    "bigQ",
-    "factorialBigP",
-    "factorialBigQ",
-)
+# symmetric function kind -> (tableau kind, the ring map that turns the
+# factorial tableau sum into this function, or None for the factorial sums)
+KINDS = {
+    "schur": ("sst", {"a": poly.ZERO}),
+    "factorialSchur": ("sst", None),
+    "bigP": ("primedP", {"a": poly.ZERO}),
+    "bigQ": ("primedQ", {"a": poly.ZERO}),
+    "factorialBigP": ("primedP", None),
+    "factorialBigQ": ("primedQ", None),
+    # Ikeda's factorial Q-function, the y := x reduction of corollary 1
+    "ikedaQ": ("primedQ", {"y": poly.x}),
+}
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,7 @@ def interleaved_alphabet(k: int, n: int) -> ShiftedAlphabet:
     return ShiftedAlphabet(slots)
 
 
+@functools.cache  # h_poly builds one per determinant entry
 def staircase_alphabet(k: int, n: int) -> ShiftedAlphabet:
     """x_k, sh x_{k+1}, sh x_{k+2}, ...: offset j - k on slot x_j."""
     return ShiftedAlphabet(x_slot(j, j - k) for j in range(k, n + 1))
@@ -102,51 +110,26 @@ def q_poly(alphabet: ShiftedAlphabet, m: int) -> poly.Polynomial:
 
 def h_poly(m: int, k: int, n: int) -> poly.Polynomial:
     """Sum over k <= i_1 <= ... <= i_m <= n of prod (x_{i_l} + a_{i_l - k + l})."""
-    if m < 0:
-        return poly.ZERO
-    memo: dict[tuple[int, int], poly.Polynomial] = {}
-
-    def tail(i: int, ell: int) -> poly.Polynomial:
-        if ell > m:
-            return poly.ONE
-        key = (i, ell)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = poly.ZERO
-        for i2 in range(i, n + 1):
-            factor = poly.x(i2) + poly.a(i2 - k + ell)
-            total = total + factor * tail(i2, ell + 1)
-        memo[key] = total
-        return total
-
-    return tail(k, 1)
-
-
-_KIND_TO_TABLEAU = {
-    "schur": "sst",
-    "factorialSchur": "sst",
-    "bigP": "primedP",
-    "bigQ": "primedQ",
-    "factorialBigP": "primedP",
-    "factorialBigQ": "primedQ",
-}
+    return q_poly(staircase_alphabet(k, n), m)
 
 
 @functools.cache
 def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
-    """Weighted tableau sum; the plain kinds are the a -> 0 specializations.
+    """Weighted tableau sum of one of the ``KINDS``.
 
     The cells holding entries ``<= k`` form a shape ``kappa_k`` with at most
     k rows, and ``kappa_k / kappa_(k-1)`` is the strip of the letter k.  So the
     sum is ``combin.row_transfer`` of ``tableaux.strip_sum`` down from the
-    shape padded to n rows, over strict rows for the primed kinds.  The
-    brute-force sum of ``tableaux.weight`` over ``tableaux.enumerate_tableaux``
+    shape padded to n rows, over strict rows for the primed kinds.  A kind's
+    ring map is a homomorphism, so it is applied to each strip sum
+    (``_strip_sum``) before the row transfer multiplies them, never to the
+    finished sum.  The brute-force sum of ``tableaux.weight`` over
+    ``tableaux.enumerate_tableaux``, with the ring map substituted afterwards,
     is its oracle.
     """
-    if kind not in TABLEAU_KINDS:
+    if kind not in KINDS:
         raise InvalidShapeForKind(f"unknown symmetric function kind {kind!r}")
-    tkind = _KIND_TO_TABLEAU[kind]
+    tkind = KINDS[kind][0]
     if tkind == "sst" and not isinstance(shape, Partition):
         raise InvalidShapeForKind(f"{kind} needs a Partition shape")
     if tkind != "sst" and not isinstance(shape, StrictPartition):
@@ -156,14 +139,23 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
     parts = tuple(p for p in shape.parts if p > 0)
     if len(parts) > n:
         return poly.ZERO
-    total = combin.row_transfer(
+    return combin.row_transfer(
         parts + (0,) * (n - len(parts)),
-        lambda k, outer, inner: tableaux.strip_sum(tkind, outer, inner),
+        lambda k, outer, inner: _strip_sum(kind, outer, inner),
         strict=tkind != "sst",
     )
-    if kind in ("schur", "bigP", "bigQ"):
-        total = poly.substitute(total, {"a": poly.ZERO})
-    return total
+
+
+@functools.cache
+def _strip_sum(kind: str, outer: tuple[int, ...], inner: tuple[int, ...]) -> poly.Polynomial:
+    """``tableaux.strip_sum`` of the kind's tableau kind under its ring map.
+
+    A strip depends only on the kind and its two rows, so the sums of one
+    process share it: the strips below the top rows recur in every shape.
+    """
+    tkind, ring_map = KINDS[kind]
+    total = tableaux.strip_sum(tkind, outer, inner)
+    return total if ring_map is None else poly.substitute(total, ring_map)
 
 
 @functools.cache

@@ -56,7 +56,8 @@ def _small_range(ident):
 
 
 def _corollary_range(ident):
-    """The small range plus n = 4, for the ASM, pattern and ice sums."""
+    """The small range plus n = 4, for corollary 1 and the ASM, pattern and
+    ice sums."""
     return _small_range(ident) + [
         IdentitySpec(ident, {"mu": mu, "n": 4}) for mu in harness.partitions_up_to(MU_N4, 4)
     ]
@@ -187,9 +188,7 @@ def test_criterion_05_bijection_web(capsys):
                     bad.append(f"compass round trip {g}")
                     continue
                 w = tableaux.weight(s)
-                if combin.weight_gtp(g) != w or combin.weight_cpm(
-                    c, table, include_diagonal_prefactor=True
-                ) != w:
+                if combin.weight_gtp(g) != w or combin.weight_cpm(c, table) != w:
                     bad.append(f"weight mismatch {g}")
     if combin.gtp_from_shifted(S_EX) != G_EX:
         bad.append("example tableau -> pattern")
@@ -203,7 +202,7 @@ def test_criterion_05_bijection_web(capsys):
 
 
 def test_criterion_06_corollary_1(capsys):
-    bad = _verify_all(_small_range("cor1_ikeda"))
+    bad = _verify_all(_corollary_range("cor1_ikeda"))
     _finish(capsys, 6, "corollary 1 (y := x reduction)", bad)
 
 
@@ -217,24 +216,21 @@ def test_criterion_08_corollary_4(capsys):
     _finish(capsys, 8, "corollary 4 (t-deformation)", bad)
 
 
-class _ShiftedTable:
+class _ShiftedTable(combin.BoltzmannTable):
     """The bmn table with the t factor moved from NE to SW."""
-
-    def __init__(self):
-        self._base = combin.BoltzmannTable("bmn")
 
     def weight_of(self, letter, i, j):
         if letter == "NE":
             return poly.ONE
         if letter == "SW":
             return poly.t() * (poly.z(i) + poly.alpha(j))
-        return self._base.weight_of(letter, i, j)
+        return super().weight_of(letter, i, j)
 
 
 def test_criterion_09_corollary_5(capsys):
     bad = _verify_all(_corollary_range("cor5_bmn"))
     base = combin.BoltzmannTable("bmn")
-    shifted = _ShiftedTable()
+    shifted = _ShiftedTable("bmn")
     for n in (1, 2, 3):
         for mu in harness.partitions_up_to(MU_SMALL, n):
             lam = shape_for(mu, n, "delta")

@@ -190,10 +190,11 @@ def test_suite_bad_config(tmp_path, capsys):
     code, _, err = run(capsys, "suite", "--config", str(cfg))
     assert code == 2
     assert "error:" in err
-    cfg.write_text(json.dumps([{"id": "lemma1", "mu": "1", "n": True}]))
-    code, out, err = run(capsys, "suite", "--config", str(cfg))
-    assert (code, out) == (2, "")
-    assert "error:" in err
+    for entry in ({"id": "lemma1", "mu": "1", "n": True}, {"id": ["theorem1P"], "mu": "1", "n": 2}):
+        cfg.write_text(json.dumps([entry]))
+        code, out, err = run(capsys, "suite", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
 
 def test_suite_json_reports(tmp_path, capsys):

@@ -127,7 +127,7 @@ def test_composite_weight_equality(lam):
         w = tableaux.weight(s)
         assert combin.weight_gtp(g) == w
         c = combin.cpm_from_asm(combin.asm_from_gtp(g))
-        assert combin.weight_cpm(c, table, include_diagonal_prefactor=True) == w
+        assert combin.weight_cpm(c, table) == w
 
 
 def test_classify_triples_examples():
@@ -149,12 +149,9 @@ def test_weight_gtp_examples():
 def test_weight_cpm_examples():
     table = combin.BoltzmannTable("general")
     c = CPM([["WE"]], StrictPartition((1,)))
-    assert combin.weight_cpm(c, table) == poly.ONE
-    assert combin.weight_cpm(c, table, include_diagonal_prefactor=True) == poly.x(1)
+    assert combin.weight_cpm(c, table) == poly.x(1)
     c2 = CPM([["SW", "WE"], ["WE", "NE"]], StrictPartition((2, 1)))
-    assert combin.weight_cpm(c2, table, include_diagonal_prefactor=True) == poly.x(
-        1
-    ) * poly.x(2) * (poly.x(1) + poly.a(1))
+    assert combin.weight_cpm(c2, table) == poly.x(1) * poly.x(2) * (poly.x(1) + poly.a(1))
 
 
 def test_enumeration_counts():

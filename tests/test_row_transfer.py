@@ -1,8 +1,9 @@
 """The row-transfer sums against their brute-force oracles.
 
 ``symfun.tableau_sum`` and ``combin.gt_row_sum`` sum row by row; the
-enumerators with the per-object weights sum object by object.  The ranges
-follow the acceptance run.
+enumerators with the per-object weights sum object by object, and a kind's
+ring map is substituted into the finished brute-force sum.  The ranges follow
+the acceptance run.
 """
 
 import pytest
@@ -54,6 +55,8 @@ def test_tableau_sum_matches_enumeration(tkind, shape, n):
     factorial, plain = _SUM_KINDS[tkind]
     assert symfun.tableau_sum(factorial, shape, n) == brute
     assert symfun.tableau_sum(plain, shape, n) == poly.substitute(brute, {"a": poly.ZERO})
+    if tkind == "primedQ":
+        assert symfun.tableau_sum("ikedaQ", shape, n) == poly.substitute(brute, {"y": poly.x})
 
 
 _GT_CASES = [(mu, n) for n in (1, 2, 3, 4) for mu in harness.partitions_up_to(1, n)]
@@ -80,7 +83,7 @@ def test_gt_row_sum_matches_enumeration(mu, n):
     for variant in sixvertex.VARIANTS:
         table = combin.BoltzmannTable(variant)
         want = poly.poly_sum(
-            combin.weight_cpm(combin.cpm_from_asm(combin.asm_from_gtp(g)), table, variant == "general")
+            combin.weight_cpm(combin.cpm_from_asm(combin.asm_from_gtp(g)), table)
             for g in patterns
         )
         assert sixvertex.partition_function(mu, n, variant) == want, variant
@@ -101,9 +104,7 @@ def test_row_weights_multiply_to_object_weights(mu, n):
         letters = [combin.cpm_row(rows[i - 1], rows[i], width) for i in range(1, n + 1)]
         assert tuple(letters) == c.entries
         for variant, table in tables.items():
-            prefactor = variant == "general"
             ice = poly.product(
-                combin.cpm_row_weight(letters[i - 1], i, table, prefactor)
-                for i in range(1, n + 1)
+                combin.cpm_row_weight(letters[i - 1], i, table) for i in range(1, n + 1)
             )
-            assert ice == combin.weight_cpm(c, table, prefactor), variant
+            assert ice == combin.weight_cpm(c, table), variant

@@ -17,3 +17,23 @@ def test_show_bijection_example_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_tracer_hooks_still_wrap():
+    # perfbench/tracing.py wraps ftok functions by name; a renamed or removed
+    # one would otherwise show only under `perfbench/run.py --trace 1`.
+    code = (
+        "import tracing\n"
+        "from ftok import harness\n"
+        "rec = tracing.Recorder()\n"
+        "tracing.install(rec)\n"
+        "for ident in ('cor1_ikeda', 'pathsLemma1'):\n"
+        "    spec = harness.IdentitySpec(ident, {'mu': '1', 'n': 3})\n"
+        "    assert harness.verify_identity(spec).passed, ident\n"
+        "assert rec.counters['poly.mul.calls'] > 0, dict(rec.counters)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

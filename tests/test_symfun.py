@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ftok import poly, symfun, tableaux
@@ -48,7 +50,13 @@ def test_q_respects_repeatability():
 
 @pytest.mark.parametrize("k,n,m", [(1, 2, 2), (1, 3, 3), (2, 4, 2), (1, 4, 3)])
 def test_h_equals_q_on_staircase_alphabet(k, n, m):
-    assert symfun.h_poly(m, k, n) == symfun.q_poly(symfun.staircase_alphabet(k, n), m)
+    # brute force over the weakly increasing index tuples k <= i_1 <= ... <= i_m <= n
+    brute = poly.poly_sum(
+        poly.product(poly.x(i) + poly.a(i - k + ell) for ell, i in enumerate(idx, start=1))
+        for idx in itertools.combinations_with_replacement(range(k, n + 1), m)
+    )
+    assert symfun.h_poly(m, k, n) == brute
+    assert symfun.q_poly(symfun.staircase_alphabet(k, n), m) == brute
 
 
 def test_tableau_sum_empty_shape():
