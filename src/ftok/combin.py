@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly, tableaux
-from .shapes import StrictPartition, interlacing
+from .shapes import StrictPartition, interlacing, is_int
 from .tableaux import CellEntry, InvalidTableau, Tableau
 
 CPM_LETTERS = ("WE", "NS", "NE", "SE", "NW", "SW")
@@ -72,15 +72,14 @@ def validate_gtp(g: GTPattern) -> None:
     for i, row in enumerate(rows, start=1):
         if len(row) != i:
             raise InvalidPattern(f"row {i} has {len(row)} entries, want {i}")
-        if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in row):
+        if any(not is_int(v) or v < 0 for v in row):
             raise InvalidPattern(f"row {i} has an entry that is not a nonnegative integer")
         if any(row[j] <= row[j + 1] for j in range(i - 1)):
             raise InvalidPattern(f"row {i} not strictly decreasing: {row}")
     for i in range(2, n + 1):
         upper, lower = rows[i - 1], rows[i - 2]
         for j in range(1, i):
-            nxt = upper[j] if j < i else 0
-            if not upper[j - 1] >= lower[j - 1] >= nxt:
+            if not upper[j - 1] >= lower[j - 1] >= upper[j]:
                 raise InvalidPattern(f"betweenness fails at ({i},{j})")
 
 
@@ -117,8 +116,8 @@ def validate_asm(a: ASM) -> None:
         raise InvalidASM("shape length must match the row count")
     if any(len(r) != m for r in a.entries):
         raise InvalidASM(f"rows must have {m} columns")
-    if any(v not in (-1, 0, 1) for r in a.entries for v in r):
-        raise InvalidASM("entries must lie in {-1, 0, 1}")
+    if any(not is_int(v) or v not in (-1, 0, 1) for r in a.entries for v in r):
+        raise InvalidASM("entries must be integers in {-1, 0, 1}")
     for i, row in enumerate(a.entries, start=1):
         nz = [v for v in row if v]
         if not nz or nz[0] != 1 or nz[-1] != 1:
@@ -421,15 +420,16 @@ def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynom
     Row transfer: ``H(row) = sum_lower row_weight(len(row), row, lower) *
     H(lower)`` from ``H(()) = 1``, memoised on the row for this call only, so
     each row reachable from ``top`` is summed once however many chains pass
-    through it.
+    through it.  Each ``H(row)`` is one :func:`poly.sum_of_products` call on
+    the (row weight, ``H(lower)``) pairs, so no product is built on its own.
     """
     memo = {(): poly.ONE}
 
     def h(row):
         got = memo.get(row)
         if got is None:
-            got = memo[row] = poly.poly_sum(
-                row_weight(len(row), row, lower) * h(lower)
+            got = memo[row] = poly.sum_of_products(
+                (row_weight(len(row), row, lower), h(lower))
                 for lower in interlacing(row, strict)
             )
         return got

@@ -20,6 +20,7 @@ from .shapes import (
     Partition,
     StrictPartition,
     conjugate,
+    is_int,
     parse_partition,
     parse_strict_partition,
     shape_for,
@@ -83,7 +84,7 @@ def _get_int(params: dict, key: str) -> int:
     if key not in params:
         raise BadParams(f"missing parameter {key!r}")
     v = params[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not is_int(v):
         raise BadParams(f"parameter {key!r} must be an integer, got {v!r}")
     return v
 

@@ -216,7 +216,7 @@ def paths_to_tableau(f: PathFamily) -> Tableau:
             r, c = path.start
             for s in path.steps:
                 if s == "H":
-                    r2, c = r, c + 1
+                    c += 1
                     cells[(i, i + c - 1)] = CellEntry(r)
                 elif s == "D":
                     r, c = r + 1, c + 1

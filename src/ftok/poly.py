@@ -166,28 +166,7 @@ class Polynomial:
         return _wrap({m: -c for m, c in self.terms.items()}, self.exp_bound)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        bound = self.exp_bound + other.exp_bound
-        if bound > MAX_EXPONENT:
-            raise ExponentOverflow(
-                f"a product of exponents up to {self.exp_bound} and "
-                f"{other.exp_bound} may leave +-{MAX_EXPONENT}"
-            )
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        if len(small) == 1:
-            # m1 + m2 is injective in m2: no collisions, no cancellation.
-            ((m1, c1),) = small.items()
-            if c1 == 1:
-                return _wrap({m1 + m2: c2 for m2, c2 in big.items()}, bound)
-            return _wrap({m1 + m2: c1 * c2 for m2, c2 in big.items()}, bound)
-        res: dict[Monomial, int] = {}
-        get = res.get
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                m = m1 + m2
-                res[m] = get(m, 0) + c1 * c2
-        return _wrap({m: c for m, c in res.items() if c}, bound)
+        return sum_of_products(((self, other),))
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -277,18 +256,37 @@ def product(factors: Iterable[Polynomial]) -> Polynomial:
 
 
 def poly_sum(terms: Iterable[Polynomial]) -> Polynomial:
+    return sum_of_products((p, ONE) for p in terms)
+
+
+def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of ``p * q`` over the pairs, accumulated into one dict.
+
+    Every product of terms is added straight into the running sum (Monagan &
+    Pearce's sum of products), so no intermediate product is built, and zero
+    coefficients are filtered once at the end.  A pair whose exponent bounds
+    could carry into a neighbouring field raises :class:`ExponentOverflow`.
+    """
     res: dict[Monomial, int] = {}
+    get = res.get
     bound = 0
-    for p in terms:
-        if p.exp_bound > bound:
-            bound = p.exp_bound
-        for m, c in p.terms.items():
-            nc = res.get(m, 0) + c
-            if nc:
-                res[m] = nc
-            else:
-                del res[m]
-    return _wrap(res, bound)
+    for p, q in pairs:
+        b = p.exp_bound + q.exp_bound
+        if b > MAX_EXPONENT:
+            raise ExponentOverflow(
+                f"a product of exponents up to {p.exp_bound} and "
+                f"{q.exp_bound} may leave +-{MAX_EXPONENT}"
+            )
+        if b > bound:
+            bound = b
+        small, big = p.terms, q.terms
+        if len(small) > len(big):
+            small, big = big, small
+        for m1, c1 in small.items():
+            for m2, c2 in big.items():
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+    return _wrap({m: c for m, c in res.items() if c}, bound)
 
 
 # -- substitution -------------------------------------------------------
@@ -331,7 +329,7 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
     """
     images: dict[int, Polynomial | None] = {}
     powers: dict[tuple[int, int], Polynomial] = {}
-    terms = []
+    pairs = []
     for m, c in p.terms.items():
         kept, factors = 0, []
         for s, e in _decode(m):
@@ -346,14 +344,8 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
                 base = img if e > 0 else _mono_invert(img, _slot_var(s))
                 factor = powers[(s, e)] = base ** abs(e)
             factors.append(factor)
-        term = _wrap({kept: c}, p.exp_bound)
-        for factor in factors:
-            if not factor.terms:
-                break
-            term = term * factor
-        else:
-            terms.append(term)
-    return poly_sum(terms)
+        pairs.append((_wrap({kept: c}, p.exp_bound), product(factors)))
+    return sum_of_products(pairs)
 
 
 # -- determinant --------------------------------------------------------
@@ -370,25 +362,18 @@ def det(matrix) -> Polynomial:
     # d maps a column bitmask S (|S| = processed rows) to the minor determinant.
     d = {0: ONE}
     for r in range(n):
-        nd: dict[int, Polynomial] = {}
+        # column mask -> the signed (minor, entry) pairs that sum to its minor
+        pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
         for mask, val in d.items():
-            if val.is_zero():
-                continue
+            signed = (val, -val)
             below = 0  # columns in mask smaller than c
             for c in range(n):
                 bit = 1 << c
                 if mask & bit:
                     below += 1
                     continue
-                entry = matrix[r][c]
-                if entry.is_zero():
-                    continue
-                contrib = val * entry
-                if (r + below) & 1:
-                    contrib = -contrib
-                key = mask | bit
-                nd[key] = nd.get(key, ZERO) + contrib
-        d = nd
+                pairs.setdefault(mask | bit, []).append((signed[(r + below) & 1], matrix[r][c]))
+        d = {key: sum_of_products(ps) for key, ps in pairs.items()}
     return d.get((1 << n) - 1, ZERO)
 
 

@@ -16,14 +16,19 @@ class MuTooLong(ValueError):
     """Raised when a partition has more parts than the requested n."""
 
 
+def is_int(v) -> bool:
+    """An int that is not a bool: JSON ``true`` loads as a bool equal to 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts):
-            raise ValueError(f"negative part in {parts}")
+        parts = tuple(parts)
+        if not all(is_int(p) and p >= 0 for p in parts):
+            raise ValueError(f"parts must be nonnegative integers, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
@@ -60,9 +65,9 @@ class StrictPartition:
     parts: tuple[int, ...]
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts):
-            raise ValueError(f"negative part in {parts}")
+        parts = tuple(parts)
+        if not all(is_int(p) and p >= 0 for p in parts):
+            raise ValueError(f"parts must be nonnegative integers, got {parts}")
         nonzero = parts[:-1] if parts and parts[-1] == 0 else parts
         if any(p == 0 for p in nonzero):
             raise ValueError(f"interior zero part in {parts}")

@@ -45,15 +45,14 @@ class Slot:
     var: tuple[int, int]
     sign: int
     offset: int
-    repeatable: bool
 
 
 def x_slot(i: int, offset: int = 0) -> Slot:
-    return Slot(poly.variable("x", i), 1, offset, True)
+    return Slot(poly.variable("x", i), 1, offset)
 
 
 def y_slot(i: int, offset: int = 0) -> Slot:
-    return Slot(poly.variable("y", i), -1, offset, False)
+    return Slot(poly.variable("y", i), -1, offset)
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,14 @@ def q_poly(alphabet: ShiftedAlphabet, m: int) -> poly.Polynomial:
         got = memo.get(key)
         if got is not None:
             return got
-        total = poly.ZERO
-        for s2 in range(s, len(slots)):
-            slot = slots[s2]
-            factor = poly.var_poly(slot.var) + poly.const(slot.sign) * poly.a(
-                ell + slot.offset
+        total = memo[key] = poly.sum_of_products(
+            (
+                poly.var_poly(slot.var) + poly.const(slot.sign) * poly.a(ell + slot.offset),
+                # an x-slot (sign +1) may be chosen again
+                tail(s2 if slot.sign > 0 else s2 + 1, ell + 1),
             )
-            nxt = s2 if slot.repeatable else s2 + 1
-            total = total + factor * tail(nxt, ell + 1)
-        memo[key] = total
+            for s2, slot in enumerate(slots[s:], start=s)
+        )
         return total
 
     return tail(0, 1)

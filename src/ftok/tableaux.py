@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import poly
-from .shapes import Partition, StrictPartition, shifted_cells, young_cells
+from .shapes import Partition, StrictPartition, is_int, shifted_cells, young_cells
 
 KINDS = ("sst", "shifted", "primedP", "primedQ")
 
@@ -112,9 +112,11 @@ class Tableau:
                 offset = i if kind != "sst" else 1
                 for k, text in enumerate(row):
                     cells[(i, offset + k)] = CellEntry.from_str(text)
-            n = int(data["n"])
+            n = data["n"]
         except (KeyError, TypeError, AttributeError) as e:
             raise InvalidTableau(f"malformed tableau JSON: {e!r}") from e
+        if not is_int(n):
+            raise InvalidTableau(f"n must be an integer, got {n!r}")
         return Tableau(kind, shape, n, cells)
 
 

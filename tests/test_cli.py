@@ -220,12 +220,21 @@ def test_suite_json_reports(tmp_path, capsys):
         "bijection --from shifted --to gtp --input no-shape.json",
         "bijection --from gtp --to asm --input list.json",
         "bijection --from gtp --to gtp --input not-strict.json",
+        "bijection --from shifted --to gtp --input float-n.json",
+        "bijection --from shifted --to gtp --input string-n.json",
+        "bijection --from asm --to gtp --input float-part.json",
+        "bijection --from asm --to gtp --input bool-entry.json",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "no-shape.json").write_text('{"kind": "shifted"}')
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "not-strict.json").write_text('{"rows": [[3], [1, 2]]}')
+    shifted = '{"kind": "shifted", "shape": [2, 1], "n": %s, "rows": [["1", "1"], ["2"]]}'
+    (tmp_path / "float-n.json").write_text(shifted % "2.9")
+    (tmp_path / "string-n.json").write_text(shifted % '"2"')
+    (tmp_path / "float-part.json").write_text('{"entries": [[1]], "shape": [1.5]}')
+    (tmp_path / "bool-entry.json").write_text('{"entries": [[true]], "shape": [1]}')
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
@@ -255,9 +264,15 @@ shape_texts = st.lists(
 
 
 # JSON values for bijection input: small, mostly malformed objects, and the
-# valid encodings of one pattern
+# valid encodings of one pattern.  Floats, bools and numeric strings stand
+# where integers belong.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-1, 4) | st.sampled_from(["shifted", "1", "2'", "a"]),
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 4)
+    | st.floats(-1, 4)
+    | st.sampled_from([1.0, 2.9, float("inf"), float("nan")])
+    | st.sampled_from(["shifted", "1", "2", "2.0", "2'", "a"]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(["kind", "shape", "n", "rows", "entries"]), inner),
     max_leaves=12,

@@ -316,6 +316,34 @@ def test_packed_ring_ops_match_oracle(p, q):
     assert poly.canonical(P * Q) == _oracle_canonical(_oracle_mul(p, q))
 
 
+def _oracle_sum_of_products(pairs):
+    out = {}
+    for p, q in pairs:
+        out = _oracle_add(out, _oracle_mul(p, q))
+    return out
+
+
+@given(st.lists(st.tuples(raw_polys, raw_polys), max_size=4))
+def test_sum_of_products_matches_oracle(pairs):
+    packed = [(poly.Polynomial(p), poly.Polynomial(q)) for p, q in pairs]
+    expect = _oracle_sum_of_products(pairs)
+    got = poly.sum_of_products(packed)
+    assert got == poly.Polynomial(expect)
+    assert poly.canonical(got) == _oracle_canonical(expect)
+    # each pair once more with its sign flipped cancels everything
+    cancelled = poly.sum_of_products(packed + [(-P, Q) for P, Q in packed])
+    assert cancelled == poly.ZERO and not cancelled.terms
+
+
+def test_sum_of_products_edge_cases():
+    assert poly.sum_of_products([]) == poly.ZERO
+    x1, y1 = poly.x(1), poly.y(1)
+    # (x1 + y1)(x1 - y1) + y1 * y1 - x1 * x1: every term cancels
+    pairs = [(x1 + y1, x1 - y1), (y1, y1), (-x1, x1)]
+    assert poly.sum_of_products(pairs).terms == {}
+    assert poly.sum_of_products([(x1, poly.ZERO), (poly.const(3), y1)]) == poly.const(3) * y1
+
+
 @given(raw_polys)
 @settings(max_examples=60)
 def test_packed_substitute_matches_oracle(p):
@@ -343,17 +371,24 @@ def test_canonical_round_trip_near_field_bound(p):
     assert poly.parse(text) == P
 
 
-@given(big_raw_polys, big_raw_polys)
-def test_product_overflow_raises_never_wraps(p, q):
+@given(big_raw_polys, big_raw_polys, st.lists(st.tuples(raw_polys, raw_polys), max_size=3))
+def test_product_overflow_raises_never_wraps(p, q, small_pairs):
     P, Q = poly.Polynomial(p), poly.Polynomial(q)
+    # the big pair sits inside a longer list of small ones
+    pairs = [(poly.Polynomial(a), poly.Polynomial(b)) for a, b in small_pairs]
+    pairs.insert(len(pairs) // 2, (P, Q))
     try:
         prod = P * Q
     except poly.ExponentOverflow:
         assert P.exp_bound + Q.exp_bound > MAX
+        with pytest.raises(poly.ExponentOverflow):
+            poly.sum_of_products(pairs)
         return
     expect = _oracle_mul(p, q)
     assert all(abs(e) <= MAX for m in expect for _, e in m)
     assert prod == poly.Polynomial(expect)
+    total = _oracle_add(expect, _oracle_sum_of_products(small_pairs))
+    assert poly.sum_of_products(pairs) == poly.Polynomial(total)
 
 
 def test_exponent_overflow_examples():

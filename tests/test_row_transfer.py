@@ -94,17 +94,14 @@ def test_gt_row_sum_matches_enumeration(mu, n):
 
 @pytest.mark.parametrize("mu,n", _GT_CASES, ids=_id)
 def test_row_weights_multiply_to_object_weights(mu, n):
-    tables = {v: combin.BoltzmannTable(v) for v in sixvertex.VARIANTS}
+    """Each pattern weighs the same as its shifted tableau and its ice, and its
+    ice rows read off the pattern rows."""
+    general = combin.BoltzmannTable("general")
     width = mu.padded(n)[0] + n
     for g in combin.enumerate_gtp(shape_for(mu, n, "delta")):
         rows = ((),) + g.rows
-        gtp = poly.product(combin.gtp_row_weight(i, rows[i], rows[i - 1]) for i in range(1, n + 1))
-        assert gtp == combin.weight_gtp(g)
         c = combin.cpm_from_asm(combin.asm_from_gtp(g))
+        tableau = tableaux.weight(combin.shifted_from_gtp(g))
+        assert combin.weight_gtp(g) == tableau == combin.weight_cpm(c, general)
         letters = [combin.cpm_row(rows[i - 1], rows[i], width) for i in range(1, n + 1)]
         assert tuple(letters) == c.entries
-        for variant, table in tables.items():
-            ice = poly.product(
-                combin.cpm_row_weight(letters[i - 1], i, table) for i in range(1, n + 1)
-            )
-            assert ice == combin.weight_cpm(c, table), variant

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -37,3 +38,21 @@ def test_tracer_hooks_still_wrap():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_objects_outputs_match_digests():
+    # One pass of the objects workload checks the lhs and rhs of its 71 specs
+    # against perfbench/expected.json.
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "run.py"),
+            "--workload", "objects", "--seed", "1", "--seconds", "0",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0, summary
