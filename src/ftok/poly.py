@@ -23,8 +23,10 @@ A polynomial has a canonical text form (see :func:`canonical`) with a parser
 
 from __future__ import annotations
 
+import functools
 import re
-from operator import itemgetter
+import struct
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 FAMILIES = ("x", "y", "a", "t", "z", "alpha")
@@ -219,7 +221,9 @@ def const(c: int) -> Polynomial:
     return _wrap({_UNIT: c} if c else {}, 0)
 
 
+@functools.cache
 def var_poly(var: tuple[int, int], exponent: int = 1) -> Polynomial:
+    """``var ** exponent``, built once per argument pair (polynomials are immutable)."""
     return _wrap({_encode({var: exponent}): 1}, abs(exponent))
 
 
@@ -354,11 +358,18 @@ def det(matrix) -> Polynomial:
     """Exact determinant via dynamic programming over column subsets.
 
     Avoids polynomial division entirely; intended for the small matrices
-    (n <= ~6) arising from the determinant formulas.
+    (n <= ~6) arising from the determinant formulas.  The rows are expanded
+    in ascending order of their total term count: the largest entries then
+    join last, when only ``n`` partial minors are left to multiply them by.
+    The determinant of the reordered rows is negated when the reordering is
+    an odd permutation (odd inversion count).
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise NonSquareMatrix(f"expected a nonempty square matrix, got {n} rows")
+    order = sorted(range(n), key=lambda r: sum(len(e.terms) for e in matrix[r]))
+    inversions = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
+    matrix = [matrix[r] for r in order]
     # d maps a column bitmask S (|S| = processed rows) to the minor determinant.
     d = {0: ONE}
     for r in range(n):
@@ -374,39 +385,78 @@ def det(matrix) -> Polynomial:
                     continue
                 pairs.setdefault(mask | bit, []).append((signed[(r + below) & 1], matrix[r][c]))
         d = {key: sum_of_products(ps) for key, ps in pairs.items()}
-    return d.get((1 << n) - 1, ZERO)
+    full = d.get((1 << n) - 1, ZERO)
+    return -full if inversions & 1 else full
 
 
 # -- canonical text form ------------------------------------------------
 
-_by_name = itemgetter(3)
+class _Factors(dict):
+    """The factor entries of one variable, keyed by biased exponent ``e + _HALF``.
+
+    An entry is ``(text, key, -e)`` with ``key = (position << _W) + _HALF - e``,
+    which orders factors by (position in word order, -e) as one int.  The
+    biased zero maps to the empty entry, which is false, so ``filter(None, ...)``
+    drops the variables a term lacks.
+    """
+
+    __slots__ = ("name", "position")
+
+    def __init__(self, var: tuple[int, int], position: int):
+        super().__init__({_HALF: ()})
+        self.name = var_name(var)
+        self.position = position
+
+    def __missing__(self, v: int) -> tuple:
+        e = v - _HALF
+        text = self.name if e == 1 else f"{self.name}^{e}"
+        f = self[v] = (text, (self.position << _W) + _HALF - e, -e)
+        return f
+
+
+_text, _key, _neg_e = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 def canonical(p: Polynomial) -> str:
     """Deterministic text encoding; ``parse`` inverts it exactly.
 
     Terms run by total degree descending, then by variable word ascending
-    (a higher power of an earlier variable first); inside a term the factors
-    run by printed name.
+    (a higher power of an earlier variable first, a word before any longer
+    word it begins); inside a term the factors run by printed name.
+
+    Every term is decoded by one ``struct`` unpack.  Adding ``bias``, which
+    holds ``_HALF`` in every field, turns each balanced field ``e`` into
+    ``e + _HALF`` in ``1 .. 2**32 - 1``, so no field borrows from the next
+    and the little-endian bytes of ``m + bias`` hold the fields as unsigned
+    words.  The format reads only the fields that some term uses and skips
+    the others as padding bytes.  One ``itemgetter`` then permutes the used
+    fields into printed-name order, so a term's factor texts come out ready
+    to join; its word is the sorted list of the factors' int keys.
     """
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
-    # (slot, exponent) -> (rank, index, -exponent, name, factor text); the
-    # first three fields order a word, and fix the other two.
-    factors: dict[tuple[int, int], tuple] = {}
+    nfields = max(map(abs, terms)).bit_length() // _W + 1
+    bias = _HALF * (((1 << (_W * nfields)) - 1) // _MASK)
+    used = 0
+    for m in terms:
+        used |= (m + bias) ^ bias
+    used_fields = [bool((used >> (_W * s)) & _MASK) for s in range(nfields)]
+    unpack = struct.Struct("<" + "".join(["I" if u else "4x" for u in used_fields])).unpack
+    variables = [_slot_var(s) for s in range(nfields) if used_fields[s]]
+    position = {v: pos for pos, v in enumerate(sorted(variables))}
+    order = sorted(range(len(variables)), key=lambda i: var_name(variables[i]))
+    tables = [_Factors(variables[i], position[variables[i]]) for i in order]
+    # itemgetter of one index returns a bare value; one field needs no permuting
+    permute = itemgetter(*order) if len(order) > 1 else None
+    nbytes = 4 * nfields
     rows = []
-    for m, c in p.terms.items():
-        word = []
-        for se in _decode(m):
-            f = factors.get(se)
-            if f is None:
-                s, e = se
-                var = _slot_var(s)
-                name = var_name(var)
-                f = factors[se] = (*var, -e, name, name if e == 1 else f"{name}^{e}")
-            word.append(f)
-        word.sort()
-        body = "*".join([f[4] for f in sorted(word, key=_by_name)])
+    for m, c in terms.items():
+        fields = unpack((m + bias).to_bytes(nbytes, "little"))
+        if permute is not None:
+            fields = permute(fields)
+        factors = list(filter(None, map(getitem, tables, fields)))
+        body = "*".join(map(_text, factors))
         mag = abs(c)
         if not m:
             text = str(mag)
@@ -415,7 +465,7 @@ def canonical(p: Polynomial) -> str:
         else:
             text = f"{mag}*{body}"
         # keys are distinct, so the sort never compares past them
-        rows.append(((sum([f[2] for f in word]), word), c < 0, text))
+        rows.append(((sum(map(_neg_e, factors)), *sorted(map(_key, factors))), c < 0, text))
     rows.sort()
     out = ["-" if rows[0][1] else "", rows[0][2]]
     for _, neg, text in rows[1:]:

@@ -13,6 +13,7 @@ Cells are keyed by 1-based matrix coordinates matching the (shifted) diagram.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -35,6 +36,9 @@ class InvalidTableau(ValueError):
     pass
 
 
+_ENTRY_RE = re.compile(r"([1-9][0-9]*)(')?")
+
+
 @dataclass(frozen=True, order=True)
 class CellEntry:
     """An entry k or k' of the primed alphabet; k' sorts just below k."""
@@ -55,10 +59,11 @@ class CellEntry:
 
     @staticmethod
     def from_str(text: str) -> "CellEntry":
-        text = text.strip()
-        if text.endswith("'"):
-            return CellEntry(int(text[:-1]), True)
-        return CellEntry(int(text))
+        """Parse the text ``str`` writes: ASCII ``[1-9][0-9]*``, then ``'`` if primed."""
+        m = _ENTRY_RE.fullmatch(text)
+        if m is None:
+            raise InvalidTableau(f"bad cell entry {text!r}")
+        return CellEntry(int(m[1]), bool(m[2]))
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,16 @@ def test_suite_json_reports(tmp_path, capsys):
     assert blob["id"] == "lemma3a" and blob["pass"] is True
 
 
+BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never writes
+    "mixed": [[" 1", "0_1"], ["+2"]],
+    "space": [[" 1", "1"], ["2"]],
+    "underscore": [["1", "0_1"], ["2"]],
+    "plus": [["1", "1"], ["+2"]],
+    "non-ascii": [["1", "1"], ["\u0662"]],  # ARABIC-INDIC DIGIT TWO
+    "newline": [["1", "1\n"], ["2"]],
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -224,7 +234,8 @@ def test_suite_json_reports(tmp_path, capsys):
         "bijection --from shifted --to gtp --input string-n.json",
         "bijection --from asm --to gtp --input float-part.json",
         "bijection --from asm --to gtp --input bool-entry.json",
-    ],
+    ]
+    + [f"bijection --from shifted --to gtp --input cell-{name}.json" for name in BAD_CELL_ROWS],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "no-shape.json").write_text('{"kind": "shifted"}')
@@ -235,6 +246,9 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "string-n.json").write_text(shifted % '"2"')
     (tmp_path / "float-part.json").write_text('{"entries": [[1]], "shape": [1.5]}')
     (tmp_path / "bool-entry.json").write_text('{"entries": [[true]], "shape": [1]}')
+    for name, rows in BAD_CELL_ROWS.items():
+        data = {"kind": "shifted", "shape": [2, 1], "n": 2, "rows": rows}
+        (tmp_path / f"cell-{name}.json").write_text(json.dumps(data))
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
@@ -272,7 +286,8 @@ json_values = st.recursive(
     | st.integers(-1, 4)
     | st.floats(-1, 4)
     | st.sampled_from([1.0, 2.9, float("inf"), float("nan")])
-    | st.sampled_from(["shifted", "1", "2", "2.0", "2'", "a"]),
+    | st.sampled_from(["shifted", "1", "2", "2.0", "2'", "a"])
+    | st.sampled_from([" 1", "0_1", "+2", "\u0662", "1\n"]),  # int() reads these
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(["kind", "shape", "n", "rows", "entries"]), inner),
     max_leaves=12,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftok import poly
+from ftok import harness, poly
 
 VARS = [
     poly.variable("x", 1),
@@ -424,3 +424,94 @@ def test_unnormalised_monomial_equals_normalised(pairs, c):
     P = poly.Polynomial({tuple(pairs): c})
     assert P == poly.Polynomial({normal: c})
     assert poly.canonical(P) == _oracle_canonical({normal: c})
+
+
+# -- canonical against the oracle on wide alphabets ----------------------
+#
+# With indices up to 12 the printed-name order (a11 < a2, x10 < x2) differs
+# from index order, and a0, t and al12 are the lowest and highest fields.
+
+WIDE_VARS = (
+    [poly.variable("a", 0), poly.variable("t")]
+    + [poly.variable(f, i) for f in ("x", "y", "a", "z", "alpha") for i in (1, 2, 9, 10, 11, 12)]
+)
+wide_exponents = (
+    st.sampled_from([-MAX, MAX, -MAX + 1, MAX - 1])
+    | st.integers(min_value=-3, max_value=3)
+    | st.integers(min_value=-MAX, max_value=MAX)
+).filter(lambda e: e != 0)
+wide_monomials = st.dictionaries(st.sampled_from(WIDE_VARS), wide_exponents, max_size=5).map(
+    lambda d: tuple(sorted(d.items()))
+)
+wide_raw_polys = st.dictionaries(wide_monomials, nonzero_coeffs, max_size=8)
+
+
+def _oracle_terms(p):
+    """The oracle form of a packed polynomial."""
+    return {
+        tuple(sorted((poly._slot_var(s), e) for s, e in poly._decode(m))): c
+        for m, c in p.terms.items()
+    }
+
+
+@given(wide_raw_polys)
+def test_canonical_matches_oracle_on_wide_alphabets(p):
+    P = poly.Polynomial(p)
+    text = poly.canonical(P)
+    assert text == _oracle_canonical(p)
+    assert poly.parse(text) == P
+
+
+def test_canonical_extreme_exponents_in_lowest_and_highest_field():
+    a0, al12 = poly.variable("a", 0), poly.variable("alpha", 12)
+    for e0, e1 in itertools.product((-MAX, MAX), repeat=2):
+        p = {((a0, e0), (al12, e1)): 1, ((a0, e0),): -2, ((al12, e1),): 3, (): 4}
+        text = poly.canonical(poly.Polynomial(p))
+        assert text == _oracle_canonical(p)
+        assert poly.parse(text) == poly.Polynomial(p)
+
+
+def test_canonical_constant_and_prefix_words():
+    assert poly.canonical(poly.const(-7)) == "-7"
+    assert poly.canonical(poly.const(3) + poly.t()) == "t + 3"
+    # x1 and x1*y3*a11^-1 have degree 1; the shorter word, x1, runs first
+    a11_inv = poly.var_poly(poly.variable("a", 11), -1)
+    p = poly.x(1) * poly.y(3) * a11_inv + poly.x(1)
+    assert poly.canonical(p) == "x1 + a11^-1*x1*y3"
+    assert poly.canonical(p) == _oracle_canonical(_oracle_terms(p))
+    q = poly.x(10) + poly.x(2) + poly.a(11) * poly.a(2)
+    assert poly.canonical(q) == "a11*a2 + x2 + x10"
+    assert poly.canonical(q) == _oracle_canonical(_oracle_terms(q))
+
+
+@pytest.mark.parametrize("mu", harness.partitions_up_to(3, 3), ids=str)
+def test_canonical_matches_oracle_on_cor6_sums(mu):
+    # the six-vertex partition function and its product side are Laurent in a
+    for side in harness._check_cor6(mu, 3):
+        assert poly.canonical(side) == _oracle_canonical(_oracle_terms(side))
+
+
+# -- det row order ---------------------------------------------------------
+
+
+def test_det_sorts_rows_with_odd_permutation():
+    x1, x2, y1, y2, t = poly.x(1), poly.x(2), poly.y(1), poly.y(2), poly.t()
+    # row term counts 12, 5, 1: sorting them reverses the rows, an odd permutation
+    big = (x1 + y1 + t) ** 2
+    m = [
+        [big, x1 * y2 + t, (x2 + y1) ** 2 + poly.ONE],
+        [x1 + y2, poly.const(2), x2 - t],
+        [poly.ZERO, y1, poly.ZERO],
+    ]
+    counts = [sum(len(e.terms) for e in row) for row in m]
+    assert counts == sorted(counts, reverse=True) and len(set(counts)) == 3
+    assert poly.det(m) == _cofactor_det(m)
+    assert poly.det(m) != poly.ZERO
+
+
+def test_det_equal_size_rows_and_zero_row():
+    x1, x2, y1, y2 = poly.x(1), poly.x(2), poly.y(1), poly.y(2)
+    equal = [[x1, y1, x2], [y2, x2, x1], [y1, y2, x1 * x2]]
+    assert poly.det(equal) == _cofactor_det(equal)
+    zero_row = [[x1 + y1, y2, x2], [poly.ZERO] * 3, [y1, x1 - y2, poly.const(5)]]
+    assert poly.det(zero_row) == poly.ZERO == _cofactor_det(zero_row)
