@@ -170,9 +170,7 @@ class CPM:
 def gtp_from_shifted(s: Tableau) -> GTPattern:
     if s.kind != "shifted":
         raise InvalidTableau("expected a shifted tableau")
-    v = tableaux.validate(s)
-    if v is not None:
-        raise InvalidTableau(f"rule {v.rule} violated at {v.cell}")
+    tableaux.check(s)
     n = s.n
     cells = s.cell_map()
     rows = []
@@ -344,25 +342,6 @@ def row_labels(row: tuple[int, ...], lower: tuple[int, ...]) -> list[str]:
         "L" if top == mid else "R" if mid == nxt else "B"
         for top, mid, nxt in zip(row, lower, row[1:])
     ]
-
-
-def classify_triples(g: GTPattern) -> dict[tuple[int, int], str]:
-    """Label (i, j) -> L/R/B for the triple m_{ij}, m_{i-1,j}, m_{i,j+1}."""
-    validate_gtp(g)
-    labels = {}
-    for i in range(2, g.n() + 1):
-        for j, label in enumerate(row_labels(g.rows[i - 1], g.rows[i - 2]), start=1):
-            labels[(i, j)] = label
-    return labels
-
-
-def triple_counts(g: GTPattern) -> dict[str, int]:
-    labels = classify_triples(g)
-    return {
-        "L": sum(1 for v in labels.values() if v == "L"),
-        "R": sum(1 for v in labels.values() if v == "R"),
-        "B": sum(1 for v in labels.values() if v == "B"),
-    }
 
 
 def _x_plus_a(i: int, k: int) -> poly.Polynomial:

@@ -107,10 +107,16 @@ def _resolve(params: dict, names: tuple[str, ...]) -> list:
     """The values of ``names`` read from ``params``, inside the shared domain.
 
     Every identity needs ``n >= 1``.  ``mu`` has at most ``n`` nonzero parts;
-    ``lam`` is the ``lambda`` parameter with exactly ``n`` positive parts, or
-    else ``mu + delta``; ``m``, ``p`` and ``q`` are integers.  Anything else
+    ``lam`` is the ``lambda`` parameter with exactly ``n`` positive parts, or,
+    when there is no ``lambda``, ``mu + delta``; ``m``, ``p`` and ``q`` are
+    integers.  Anything else, and any parameter the identity does not read,
     raises ``BadParams``.
     """
+    shape_key = "lambda" if "lambda" in params else "mu"
+    read = {"n", *(shape_key if key == "lam" else key for key in names)}
+    for key in params:
+        if key not in read:
+            raise BadParams(f"this identity does not read parameter {key!r}")
     n = _get_int(params, "n")
     if n < 1:
         raise BadParams(f"n must be at least 1, got {n}")
@@ -198,12 +204,10 @@ def _check_lemma4(mu: Partition, n: int):
 
 def _check_cor1(mu: Partition, n: int):
     lhs = symfun.tableau_sum("ikedaQ", shape_for(mu, n, "delta"), n)
-    factors = [poly.const(2) * poly.x(i) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors.append(poly.x(i) + poly.x(j))
-    rhs = poly.product(factors) * symfun.tableau_sum(
-        "factorialSchur", mu.normalized(), n
+    rhs = (
+        poly.product(poly.const(2) * poly.x(i) for i in range(1, n + 1))
+        * symfun.vandermonde(n, lambda i, j: poly.x(i) + poly.x(j))
+        * symfun.tableau_sum("factorialSchur", mu.normalized(), n)
     )
     return lhs, rhs
 
@@ -232,12 +236,10 @@ def _tokuyama_row_weight(i: int, row: tuple, lower: tuple) -> poly.Polynomial:
 
 def _check_cor4(mu: Partition, n: int):
     lhs = combin.gt_row_sum(shape_for(mu, n, "rho"), _tokuyama_row_weight)
-    factors = [
-        poly.x(i) + poly.t() * poly.x(j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    rhs = poly.product(factors) * symfun.tableau_sum("schur", mu.normalized(), n)
+    rhs = (
+        symfun.vandermonde(n, lambda i, j: poly.x(i) + poly.t() * poly.x(j))
+        * symfun.tableau_sum("schur", mu.normalized(), n)
+    )
     return lhs, rhs
 
 
@@ -247,12 +249,7 @@ def _check_cor5(mu: Partition, n: int):
     s_zalpha = poly.substitute(
         s, {"x": lambda i: poly.z(i), "a": lambda j: poly.alpha(j)}
     )
-    factors = [
-        poly.t() * poly.z(i) + poly.z(j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    rhs = poly.product(factors) * s_zalpha
+    rhs = symfun.vandermonde(n, lambda i, j: poly.t() * poly.z(i) + poly.z(j)) * s_zalpha
     return lhs, rhs
 
 
@@ -449,14 +446,17 @@ def cache_put(request: dict, canonical_polynomial: str) -> dict:
         "version": CACHE_VERSION,
     }
     path = _cache_path(request)
-    os.makedirs(cache_dir(), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(cache_dir(), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, sort_keys=True)
         os.replace(tmp, path)  # atomic on POSIX
+    except OSError:
+        pass  # an unusable cache skips the write, as a failed read is a miss
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
     return entry
 

@@ -53,9 +53,6 @@ class LatticePath:
             pts.append((r, c))
         return pts
 
-    def end(self) -> tuple[int, int]:
-        return self.points()[-1]
-
 
 @dataclass(frozen=True)
 class PathFamily:
@@ -71,29 +68,6 @@ class PathFamily:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "paths", tuple(paths))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "shape": list(self.shape.parts),
-            "paths": [
-                {"start": list(p.start), "steps": p.steps} for p in self.paths
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "PathFamily":
-        kind = data["kind"]
-        shape = (
-            Partition(data["shape"]) if kind == "sst" else StrictPartition(data["shape"])
-        )
-        return PathFamily(
-            kind,
-            int(data["n"]),
-            shape,
-            [LatticePath(tuple(p["start"]), p["steps"]) for p in data["paths"]],
-        )
 
 
 def _endpoints(kind: str, shape, n: int, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -139,9 +113,7 @@ def validate_family(f: PathFamily) -> None:
 
 
 def tableau_to_paths(t: Tableau) -> PathFamily:
-    v = tableaux.validate(t)
-    if v is not None:
-        raise InvalidTableau(f"rule {v.rule} violated at {v.cell}")
+    tableaux.check(t)
     if t.kind == "sst":
         return _sst_to_paths(t)
     if t.kind == "primedP":

@@ -195,9 +195,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({canonical(self)!r})"
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree_in(self, var: tuple[int, int]) -> int:
         """Largest absolute exponent of ``var``; 0 when the variable is absent."""
         s = _slot(var)

@@ -51,12 +51,6 @@ class Partition:
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
 
 @dataclass(frozen=True)
 class StrictPartition:
@@ -78,23 +72,11 @@ class StrictPartition:
     def length(self) -> int:
         return sum(1 for p in self.parts if p > 0)
 
-    def weight(self) -> int:
-        return sum(self.parts)
-
     def breadth(self) -> int:
         return self.parts[0] if self.parts else 0
 
-    def as_partition(self) -> Partition:
-        return Partition(self.parts)
-
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
 
 
 def parse_partition(text: str) -> Partition:

@@ -5,8 +5,8 @@ ring map that specialises it (``a := 0`` for the plain kinds, ``y := x`` for
 Ikeda's factorial Q-function), applied to each strip of the row transfer.
 The one-row building block is ``q_poly`` (sum over slot multisets of a
 :class:`ShiftedAlphabet`); ``h_poly`` is ``q_poly`` on the staircase alphabet.
-The two Jacobi-Trudi style determinants and the identity right-hand sides sit
-on top of them.
+The two Jacobi-Trudi style determinants and the identity right-hand sides, a
+deformed ``vandermonde`` times a factorial Schur function, sit on top of them.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
 
     lemma1: entry (k, l) is h_{mu_l - l + k} over x_k..x_n.
     lemma2: entry (k, l) is x_k * q_{lambda_l - 1} over the interleaved
-    alphabet starting at x_k; needs a strict shape of length exactly n.
+    alphabet starting at x_k; needs a strict shape of exactly n positive parts.
     """
     if kind == "lemma1":
         if not isinstance(shape, Partition):
@@ -177,8 +177,8 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
         if not isinstance(shape, StrictPartition):
             raise InvalidShapeForKind("lemma2 needs a StrictPartition shape")
         lam = tuple(shape.parts)
-        if len(lam) != n:
-            raise InvalidShapeForKind(f"lemma2 needs length {n}, got {lam}")
+        if len(lam) != n or shape.length() != n:
+            raise InvalidShapeForKind(f"lemma2 needs exactly {n} positive parts, got {lam}")
         matrix = [
             [
                 poly.x(k + 1) * q_poly(interleaved_alphabet(k + 1, n), lam[ell] - 1)
@@ -188,6 +188,13 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
         ]
         return poly.det(matrix)
     raise InvalidShapeForKind(f"unknown determinant kind {kind!r}")
+
+
+def vandermonde(n: int, pair) -> poly.Polynomial:
+    """The deformed Vandermonde ``prod_{1 <= i < j <= n} pair(i, j)``."""
+    return poly.product(
+        pair(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    )
 
 
 def theorem_rhs(mu: Partition, n: int, klass: str) -> poly.Polynomial:
@@ -200,11 +207,7 @@ def theorem_rhs(mu: Partition, n: int, klass: str) -> poly.Polynomial:
         raise ValueError(f"class must be 'P' or 'Q', got {klass!r}")
     mu.padded(n)  # raises MuTooLong when mu does not fit
     s = tableau_sum("factorialSchur", mu.normalized(), n)
-    factors = []
-    for i in range(1, n + 1):
-        lo = i if klass == "Q" else i + 1
-        for j in range(lo, n + 1):
-            factors.append(poly.x(i) + poly.y(j))
-    if klass == "P":
-        factors.extend(poly.x(i) for i in range(1, n + 1))
-    return poly.product(factors) * s
+    diagonal = poly.product(
+        poly.x(i) if klass == "P" else poly.x(i) + poly.y(i) for i in range(1, n + 1)
+    )
+    return diagonal * vandermonde(n, lambda i, j: poly.x(i) + poly.y(j)) * s

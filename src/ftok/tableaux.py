@@ -89,9 +89,6 @@ class Tableau:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cells", tuple(cells))
 
-    def entry(self, i: int, j: int) -> CellEntry | None:
-        return dict(self.cells).get((i, j))
-
     def cell_map(self) -> dict:
         return dict(self.cells)
 
@@ -192,6 +189,13 @@ def validate(t: Tableau) -> Violation | None:
     return None
 
 
+def check(t: Tableau) -> None:
+    """Raise InvalidTableau naming the first rule ``t`` violates (see validate)."""
+    v = validate(t)
+    if v is not None:
+        raise InvalidTableau(f"rule {v.rule} violated at {v.cell}")
+
+
 def _alphabet(kind: str, n: int) -> list[CellEntry]:
     if kind in ("sst", "shifted"):
         return [CellEntry(k) for k in range(1, n + 1)]
@@ -285,9 +289,7 @@ def weight(t: Tableau) -> poly.Polynomial:
     collapsed weights: x_k on the diagonal, x_k + a_{j-i} under a repeat to the
     left, y_k - a_{j-i} above a repeat below, else x_k + y_k.
     """
-    v = validate(t)
-    if v is not None:
-        raise InvalidTableau(f"rule {v.rule} violated at {v.cell}")
+    check(t)
     cells = dict(t.cells)
     factors = []
     for (i, j), e in sorted(cells.items()):

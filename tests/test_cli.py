@@ -89,6 +89,17 @@ def test_sf_cache_hit_prints_miss_bytes(tmp_path, capsys):
         assert miss[0] == 0 and miss[1]
 
 
+def test_sf_unwritable_cache_prints_miss(tmp_path, capsys, monkeypatch):
+    argv = ("sf", "--kind", "schur", "--shape", "2,1", "--n", "2")
+    miss = run(capsys, *argv)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("FTOK_CACHE_DIR", str(blocker))
+    assert run(capsys, *argv) == miss
+    assert miss[0] == 0 and miss[1]
+    assert blocker.read_text() == ""
+
+
 def test_bijection_chain(tmp_path, capsys):
     src = tmp_path / "t.json"
     src.write_text(
@@ -190,7 +201,11 @@ def test_suite_bad_config(tmp_path, capsys):
     code, _, err = run(capsys, "suite", "--config", str(cfg))
     assert code == 2
     assert "error:" in err
-    for entry in ({"id": "lemma1", "mu": "1", "n": True}, {"id": ["theorem1P"], "mu": "1", "n": 2}):
+    for entry in (
+        {"id": "lemma1", "mu": "1", "n": True},
+        {"id": ["theorem1P"], "mu": "1", "n": 2},
+        {"id": "theorem1P", "mu": "1", "n": 2, "lamda": "3,2"},
+    ):
         cfg.write_text(json.dumps([entry]))
         code, out, err = run(capsys, "suite", "--config", str(cfg))
         assert (code, out) == (2, "")
@@ -224,6 +239,7 @@ BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never write
         "enumerate --kind sst --shape 2,1 --n -1 --count-only",
         "enumerate --kind sst --shape 2,1 --count-only",
         "sf --kind lemma2-det --shape 3,2 --n 3",
+        "sf --kind lemma2-det --shape 3,2,0 --n 3",
         "sf --kind schur --shape a --n 2",
         "zfunc --variant bmn --mu 3,2,1 --n 2",
         "bijection --from shifted --to gtp --input missing.json",
@@ -234,6 +250,10 @@ BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never write
         "bijection --from shifted --to gtp --input string-n.json",
         "bijection --from asm --to gtp --input float-part.json",
         "bijection --from asm --to gtp --input bool-entry.json",
+        "bijection --from shifted --to gtp --input rule-violated.json",
+        "verify --id theorem1P --mu 1 --lambda 3,2 --n 2",
+        "verify --id lemma2 --mu 1 --lambda 3,1 --n 2",
+        "verify --id lemma1 --mu 1 --m 7 --n 2",
     ]
     + [f"bijection --from shifted --to gtp --input cell-{name}.json" for name in BAD_CELL_ROWS],
 )
@@ -244,6 +264,9 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     shifted = '{"kind": "shifted", "shape": [2, 1], "n": %s, "rows": [["1", "1"], ["2"]]}'
     (tmp_path / "float-n.json").write_text(shifted % "2.9")
     (tmp_path / "string-n.json").write_text(shifted % '"2"')
+    (tmp_path / "rule-violated.json").write_text(
+        '{"kind": "shifted", "shape": [2, 1], "n": 2, "rows": [["2", "2"], ["2"]]}'
+    )
     (tmp_path / "float-part.json").write_text('{"entries": [[1]], "shape": [1.5]}')
     (tmp_path / "bool-entry.json").write_text('{"entries": [[true]], "shape": [1]}')
     for name, rows in BAD_CELL_ROWS.items():

@@ -66,6 +66,14 @@ def test_gtp_from_shifted_examples():
     assert combin.gtp_from_shifted(small) == GTPattern([(2,), (2, 1)])
 
 
+def test_gtp_from_shifted_rejects_invalid():
+    bad = Tableau.from_json(
+        {"kind": "shifted", "shape": [2, 1], "n": 2, "rows": [["2", "2"], ["2"]]}
+    )
+    with pytest.raises(tableaux.InvalidTableau, match=r"rule S3 violated at \(2, 2\)"):
+        combin.gtp_from_shifted(bad)
+
+
 def test_shifted_from_gtp_inverts():
     assert combin.shifted_from_gtp(G_EX) == S_EX
     assert combin.shifted_from_gtp(GTPattern([(1,)])) == Tableau.from_json(
@@ -128,12 +136,6 @@ def test_composite_weight_equality(lam):
         assert combin.weight_gtp(g) == w
         c = combin.cpm_from_asm(combin.asm_from_gtp(g))
         assert combin.weight_cpm(c, table) == w
-
-
-def test_classify_triples_examples():
-    assert combin.classify_triples(GTPattern([(1,), (2, 1)])) == {(2, 1): "R"}
-    assert combin.classify_triples(GTPattern([(2,), (2, 1)])) == {(2, 1): "L"}
-    assert combin.classify_triples(GTPattern([(1,)])) == {}
 
 
 def test_weight_gtp_examples():

@@ -71,6 +71,16 @@ def test_bad_params():
         harness.verify_identity(
             IdentitySpec("theorem1P", {"mu": Partition((1, 1, 1)), "n": 2})
         )
+    # a parameter the identity does not read
+    for ident, params, unread in (
+        ("theorem1P", {"mu": "1", "lambda": "3,2", "n": 2}, "lambda"),
+        ("lemma2", {"mu": "1", "lambda": "3,1", "n": 2}, "mu"),
+        ("pathsLemma2", {"mu": "1", "lambda": "3,1", "n": 2}, "mu"),
+        ("lemma1", {"mu": "1", "m": 7, "n": 2}, "m"),
+        ("theorem1P", {"mu": "1", "n": 2, "lamda": "3,2"}, "lamda"),
+    ):
+        with pytest.raises(harness.BadParams, match=repr(unread)):
+            harness.verify_identity(IdentitySpec(ident, params))
 
 
 # Shape text that parses, fails to parse, or parses to a shape too long for n;

@@ -68,11 +68,6 @@ def test_fig2_family():
     assert paths.paths_weight(FIG2) == tableaux.weight(P_EX)
 
 
-def test_json_round_trip():
-    for fam in (FIG1, FIG2):
-        assert PathFamily.from_json(fam.to_json()) == fam
-
-
 def test_malformed_families():
     with pytest.raises(paths.MalformedFamily):
         paths.validate_family(
@@ -94,6 +89,12 @@ def test_malformed_families():
     )
     with pytest.raises(paths.IntersectingPaths):
         paths.validate_family(bad)
+
+
+def test_rejects_invalid_tableau():
+    bad = Tableau.from_json({"kind": "sst", "shape": [1, 1], "n": 2, "rows": [["1"], ["1"]]})
+    with pytest.raises(tableaux.InvalidTableau, match=r"rule T2 violated at \(2, 1\)"):
+        paths.tableau_to_paths(bad)
 
 
 def test_rejects_wrong_kind():

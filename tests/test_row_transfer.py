@@ -65,8 +65,13 @@ _GT_CASES.append((Partition(), 5))
 
 def _tokuyama_weight(g):
     """cor4_tokuyama's weight of one pattern: t^#R (1 + t)^#B x^(row sums)."""
-    counts = combin.triple_counts(g)
-    term = poly.var_poly(poly.variable("t"), counts["R"]) * (poly.ONE + poly.t()) ** counts["B"]
+    labels = [
+        label for lower, row in zip(g.rows, g.rows[1:]) for label in combin.row_labels(row, lower)
+    ]
+    term = (
+        poly.var_poly(poly.variable("t"), labels.count("R"))
+        * (poly.ONE + poly.t()) ** labels.count("B")
+    )
     prev = 0
     for i, row in enumerate(g.rows, start=1):
         term = term * poly.var_poly(poly.variable("x", i), sum(row) - prev)

@@ -86,7 +86,7 @@ def test_strict_conjugate_steps(mu):
     # lambda'_{j+1} = lambda'_j - 1 exactly at the parts of lambda
     n = max(len(mu.parts), 1)
     lam = shape_for(mu, n, "delta")
-    conj = conjugate(lam.as_partition()).parts
+    conj = conjugate(Partition(lam.parts)).parts
     breadth = lam.breadth()
     padded = list(conj) + [0]
     parts = set(lam.parts)

@@ -110,9 +110,23 @@ def test_det_formula_preconditions():
     with pytest.raises(symfun.InvalidShapeForKind):
         symfun.det_formula("lemma2", StrictPartition((2, 1)), 3)
     with pytest.raises(symfun.InvalidShapeForKind):
+        symfun.det_formula("lemma2", StrictPartition((3, 2, 0)), 3)
+    with pytest.raises(symfun.InvalidShapeForKind):
         symfun.det_formula("lemma1", StrictPartition((2, 1)), 2)
     with pytest.raises(symfun.InvalidShapeForKind):
         symfun.det_formula("other", Partition((1,)), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vandermonde_is_the_vandermonde_determinant(n):
+    got = symfun.vandermonde(n, lambda i, j: poly.x(i) - poly.x(j))
+    matrix = [[poly.x(i) ** (n - j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    assert got == poly.det(matrix)
+
+
+def test_vandermonde_of_no_pairs_is_one():
+    for n in (0, 1):
+        assert symfun.vandermonde(n, lambda i, j: poly.x(i) - poly.x(j)) == poly.ONE
 
 
 def test_theorem_rhs_examples():

@@ -66,10 +66,10 @@ def test_enumerate_examples():
     assert [t.to_json()["rows"] for t in got] == [[["1"]], [["2"]]]
     got = list(tableaux.enumerate_tableaux("primedP", StrictPartition((2, 1)), 2))
     assert len(got) == 2
-    assert sorted(str(t.entry(1, 2)) for t in got) == ["1", "2'"]
+    assert sorted(str(t.cell_map()[(1, 2)]) for t in got) == ["1", "2'"]
     got = list(tableaux.enumerate_tableaux("shifted", StrictPartition((2, 1)), 2))
     assert len(got) == 2
-    assert sorted(str(t.entry(1, 2)) for t in got) == ["1", "2"]
+    assert sorted(str(t.cell_map()[(1, 2)]) for t in got) == ["1", "2"]
 
 
 def _brute_force(kind, shape, n):
@@ -155,6 +155,14 @@ def test_weight_rejects_invalid():
         tableaux.weight(bad)
 
 
+def test_check_names_the_violated_rule():
+    assert tableaux.check(S_EX) is None
+    bad = from_rows("shifted", (2, 1), 2, [["2", "2"], ["2"]])
+    for fn in (tableaux.check, tableaux.weight):
+        with pytest.raises(tableaux.InvalidTableau, match=r"rule S3 violated at \(2, 2\)"):
+            fn(bad)
+
+
 @pytest.mark.parametrize(
     "shape,n",
     [
@@ -180,7 +188,7 @@ def test_q_class_doubles_per_diagonal(lam, n):
     qs = list(tableaux.enumerate_tableaux("primedQ", lam, n))
     assert len(qs) == (2 ** n) * len(ps)
     for t in ps + qs:
-        diag = [t.entry(i, i).value for i in range(1, n + 1)]
+        diag = [t.cell_map()[(i, i)].value for i in range(1, n + 1)]
         assert diag == list(range(1, n + 1))
 
 
