@@ -8,6 +8,11 @@ exits 2 with ``error: ...`` on stderr and nothing on stdout when its input is
 outside the domain (a bad shape, parameter, suite config or bijection input
 file); ``verify`` and ``suite`` exit 0 on pass and 1 on a failed identity.
 ``suite --json`` prints one report per line.
+
+Each subcommand imports only the modules it runs, inside its ``_cmd_*``
+function, so a process loads (and, without cached bytecode, compiles) no more
+of ftok than its request needs.  An unknown ``verify --id`` or ``zfunc
+--variant`` is rejected by ``harness`` or ``sixvertex``, which hold the lists.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ import argparse
 import json
 import sys
 
-from . import combin, harness, poly, sixvertex, symfun, tableaux
 from .shapes import parse_partition, parse_strict_partition
-from .tableaux import Tableau
 
 _SF_KINDS = {
     "schur": "schur",
@@ -43,11 +46,18 @@ def _parse_shape(kind: str, text: str):
 
 def _cmd_enumerate(args) -> int:
     shape = _parse_shape(args.kind, args.shape)
-    if args.kind == "gtp":
-        objects = combin.enumerate_gtp(shape)
-    elif args.kind == "asm":
-        objects = combin.enumerate_asm(shape)
+    if args.kind in ("gtp", "asm"):
+        if args.n is not None:
+            raise ValueError(f"--n is not read by kind {args.kind!r}")
+        from . import combin
+
+        if args.kind == "gtp":
+            objects = combin.enumerate_gtp(shape)
+        else:
+            objects = combin.enumerate_asm(shape)
     else:
+        from . import tableaux
+
         if args.n is None:
             raise ValueError("--n is required for tableau kinds")
         objects = tableaux.enumerate_tableaux(_TABLEAU_KIND[args.kind], shape, args.n)
@@ -66,8 +76,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sf(args) -> int:
     shape = _parse_shape(args.kind, args.shape)
     if args.kind in _SF_KINDS:
+        from . import harness
+
         text = harness.cached_tableau_sum(_SF_KINDS[args.kind], shape, args.n)
     else:
+        from . import poly, symfun
+
         det_kind = args.kind.removesuffix("-det")
         text = poly.canonical(symfun.det_formula(det_kind, shape, args.n))
     print(json.dumps({"polynomial": text}) if args.json else text)
@@ -75,6 +89,9 @@ def _cmd_sf(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
+    from . import combin, sixvertex
+    from .tableaux import Tableau
+
     try:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -103,6 +120,8 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_zfunc(args) -> int:
+    from . import poly, sixvertex
+
     mu = parse_partition(args.mu)
     total = sixvertex.partition_function(mu, args.n, args.variant)
     text = poly.canonical(total)
@@ -110,7 +129,9 @@ def _cmd_zfunc(args) -> int:
     return 0
 
 
-def _spec_from_args(args) -> harness.IdentitySpec:
+def _spec_from_args(args):
+    from .harness import IdentitySpec
+
     params = {}
     if args.mu is not None:
         params["mu"] = args.mu
@@ -120,10 +141,10 @@ def _spec_from_args(args) -> harness.IdentitySpec:
         val = getattr(args, key)
         if val is not None:
             params[key] = val
-    return harness.IdentitySpec(args.id, params)
+    return IdentitySpec(args.id, params)
 
 
-def _print_report(report: harness.IdentityReport, as_json: bool) -> None:
+def _print_report(report, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report.to_json()))
     else:
@@ -135,12 +156,16 @@ def _print_report(report: harness.IdentityReport, as_json: bool) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
+
     report = harness.verify_identity(_spec_from_args(args))
     _print_report(report, args.json)
     return 0 if report.passed else 1
 
 
 def _cmd_suite(args) -> int:
+    from . import harness
+
     specs = harness.load_suite_config(args.config) if args.config else None
     reports = harness.run_suite(specs)
     for report in reports:
@@ -181,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bijection)
 
     p = sub.add_parser("zfunc", help="six-vertex partition function")
-    p.add_argument("--variant", required=True, choices=list(sixvertex.VARIANTS))
+    p.add_argument("--variant", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_zfunc)
 
     p = sub.add_parser("verify", help="verify one identity")
-    p.add_argument("--id", required=True, choices=list(harness.IDENTITY_IDS))
+    p.add_argument("--id", required=True)
     p.add_argument("--mu")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--n", type=int)

@@ -8,10 +8,8 @@ false failure.  Parameters outside an identity's domain raise ``BadParams``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -305,7 +303,7 @@ IDENTITY_IDS = tuple(_CHECKS)
 
 def verify_identity(spec: IdentitySpec) -> IdentityReport:
     if not isinstance(spec.id, str) or spec.id not in _CHECKS:
-        raise BadParams(f"unknown identity id {spec.id!r}")
+        raise BadParams(f"unknown identity id {spec.id!r}; known: {', '.join(_CHECKS)}")
     start = time.perf_counter()
     check, names = _CHECKS[spec.id]
     lhs, rhs = check(*_resolve(spec.params, names))
@@ -416,6 +414,8 @@ def cache_dir() -> str:
 
 
 def _cache_path(request: dict) -> str:
+    import hashlib  # imported here and in cache_put: only cache requests load it and tempfile
+
     blob = json.dumps(request, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return os.path.join(cache_dir(), digest + ".json")
@@ -440,6 +440,8 @@ def cache_get(request: dict):
 
 
 def cache_put(request: dict, canonical_polynomial: str) -> dict:
+    import tempfile
+
     entry = {
         "request": request,
         "canonical_polynomial": canonical_polynomial,

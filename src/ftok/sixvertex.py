@@ -15,7 +15,7 @@ VARIANTS = ("general", "bmn", "lascoux")
 
 def boltzmann_table(variant: str) -> combin.BoltzmannTable:
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ValueError(f"unknown variant {variant!r}; known: {', '.join(VARIANTS)}")
     return combin.BoltzmannTable(variant)
 
 

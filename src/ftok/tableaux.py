@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from . import poly
@@ -350,10 +349,11 @@ def sst_count(shape: Partition, n: int) -> int:
     from .shapes import conjugate
 
     cols = conjugate(shape).parts
-    total = Fraction(1)
+    numerator = denominator = 1
     for i, p in enumerate(parts, start=1):
         for j in range(1, p + 1):
-            hook = (p - j) + (cols[j - 1] - i) + 1
-            total *= Fraction(n + j - i, hook)
-    assert total.denominator == 1
-    return int(total)
+            numerator *= n + j - i
+            denominator *= (p - j) + (cols[j - 1] - i) + 1
+    count, remainder = divmod(numerator, denominator)
+    assert remainder == 0
+    return count

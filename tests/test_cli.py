@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftok import cli, combin, harness, sixvertex
+from ftok import cli, combin, sixvertex
 from ftok.shapes import StrictPartition
 from ftok.tableaux import Tableau
+from test_harness import identity_params
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -238,10 +241,12 @@ BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never write
         "enumerate --kind asm --shape 3,3 --count-only",
         "enumerate --kind sst --shape 2,1 --n -1 --count-only",
         "enumerate --kind sst --shape 2,1 --count-only",
+        "enumerate --kind asm --shape 3,2,1 --n 7 --count-only",
         "sf --kind lemma2-det --shape 3,2 --n 3",
         "sf --kind lemma2-det --shape 3,2,0 --n 3",
         "sf --kind schur --shape a --n 2",
         "zfunc --variant bmn --mu 3,2,1 --n 2",
+        "zfunc --variant nope --mu 1 --n 2",
         "bijection --from shifted --to gtp --input missing.json",
         "bijection --from shifted --to gtp --input no-shape.json",
         "bijection --from gtp --to asm --input list.json",
@@ -254,6 +259,7 @@ BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never write
         "verify --id theorem1P --mu 1 --lambda 3,2 --n 2",
         "verify --id lemma2 --mu 1 --lambda 3,1 --n 2",
         "verify --id lemma1 --mu 1 --m 7 --n 2",
+        "verify --id nope --mu 1 --n 2",
     ]
     + [f"bijection --from shifted --to gtp --input cell-{name}.json" for name in BAD_CELL_ROWS],
 )
@@ -280,10 +286,9 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_module_entry_bad_input_exits_2():
-    root = Path(__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, "-m", "ftok.cli", "zfunc", "--variant", "bmn", "--mu", "1", "--n", "0"],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=60,
@@ -291,6 +296,46 @@ def test_module_entry_bad_input_exits_2():
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+_RUN_CLI = """
+import sys
+from ftok import cli
+for argv in sys.argv[1:]:
+    assert cli.main(argv.split()) == 0, argv
+"""
+
+
+def _modules_loaded(tmp_path, code, *args):
+    """The names in sys.modules after ``code`` runs in a fresh interpreter
+    (pytest and hypothesis load some of the modules checked here themselves)."""
+    result = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)", *args],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_subcommands_import_only_what_they_run(tmp_path):
+    light = _modules_loaded(
+        tmp_path,
+        _RUN_CLI,
+        "enumerate --kind sst --shape 2,1 --n 3 --count-only",
+        "enumerate --kind gtp --shape 3,1",
+        "zfunc --variant bmn --mu 1 --n 2",
+    )
+    assert {"ftok.tableaux", "ftok.combin", "ftok.sixvertex"} <= light
+    assert not light & {"ftok.harness", "ftok.paths", "ftok.symfun", "hashlib", "fractions"}
+    det = _modules_loaded(tmp_path, _RUN_CLI, "sf --kind lemma2-det --shape 3,2,1 --n 3")
+    assert "ftok.symfun" in det and "ftok.harness" not in det
+    harness_only = _modules_loaded(tmp_path, "import ftok.harness")
+    assert "ftok.harness" in harness_only
+    assert not harness_only & {"hashlib", "fractions"}
 
 
 # Shape text that parses, fails to parse, or parses to a shape too long for n;
@@ -349,14 +394,8 @@ def argvs(draw):
         target = draw(st.sampled_from(["gtp", "asm", "cpm", "sic"]))
         argv = ["bijection", "--from", source, "--to", target, "--input", "in.json"]
         return argv, draw(st.none() | valid_inputs | json_values)
-    argv = ["verify", "--id", draw(st.sampled_from(harness.IDENTITY_IDS))]
-    for flag in ("mu", "lambda"):
-        if draw(st.booleans()):
-            argv.append(f"--{flag}={draw(shape_texts)}")
-    for flag in ("n", "m", "p", "q"):
-        if draw(st.booleans()):
-            argv.append(f"--{flag}={draw(st.integers(-1, 3))}")
-    return argv, None
+    ident, params = draw(identity_params(ints=st.integers(-1, 3)))
+    return ["verify", "--id", ident] + [f"--{key}={val}" for key, val in params.items()], None
 
 
 @settings(max_examples=150, deadline=None)

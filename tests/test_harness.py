@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -91,24 +92,45 @@ shape_texts = st.lists(
 int_params = st.one_of(
     st.integers(-1, 3), st.booleans(), st.sampled_from(["2", 2.0, None])
 )
+PARAM_KEYS = ("mu", "lambda", "n", "m", "p", "q")
+
+
+@st.composite
+def identity_params(draw, ints=int_params):
+    """An identity id and the parameters its check reads, each in the domain
+    four times in five and otherwise missing or drawn from ``shape_texts`` or
+    ``ints``; then, one time in four, one parameter the check does not read."""
+    ident = draw(st.sampled_from(harness.IDENTITY_IDS + ("nope",)))
+    names = harness._CHECKS[ident][1] if ident in harness._CHECKS else ("mu", "n")
+    keys = ["lambda" if name == "lam" else name for name in names]
+    n = draw(st.integers(2 if "p" in keys else 1, 3))
+    p = draw(st.integers(1, max(1, n - 1)))
+    mu = draw(st.lists(st.integers(0, 3), max_size=n).map(lambda ps: sorted(ps, reverse=True)))
+    good = {
+        "mu": ",".join(map(str, mu)),
+        "lambda": ",".join(map(str, draw(st.sampled_from(list(combinations((3, 2, 1), n)))))),
+        "n": n,
+        "m": draw(st.integers(0, 3)),
+        "p": p,
+        "q": draw(st.integers(min(p + 1, n), n)),
+    }
+    params = {}
+    for key in keys:
+        if draw(st.integers(0, 4)):
+            params[key] = good[key]
+        elif draw(st.booleans()):
+            params[key] = draw(shape_texts if key in ("mu", "lambda") else ints)
+    unread = [key for key in PARAM_KEYS if key not in keys]
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(unread))
+        params[key] = good[key]
+    return ident, params
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(harness.IDENTITY_IDS + ("nope",)),
-    st.fixed_dictionaries(
-        {},
-        optional={
-            "mu": shape_texts,
-            "lambda": shape_texts,
-            "n": int_params,
-            "m": int_params,
-            "p": int_params,
-            "q": int_params,
-        },
-    ),
-)
-def test_verify_identity_passes_or_rejects(ident, params):
+@given(identity_params())
+def test_verify_identity_passes_or_rejects(ident_params):
+    ident, params = ident_params
     try:
         report = harness.verify_identity(IdentitySpec(ident, params))
     except harness.BadParams:
