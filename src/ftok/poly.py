@@ -8,8 +8,8 @@ and there is no floating point anywhere.
 
 A monomial is stored as a packed exponent vector (Monagan & Pearce, CASC
 2007): the Python int ``sum(e_v * 2**(W * slot(v)))`` with field width
-``W = 32`` and ``slot(v) = 6 * index + family rank``.  The fields are
-balanced, so each exponent lies in ``-(2**31 - 1) .. 2**31 - 1`` and every
+``W = 16`` and ``slot(v) = 6 * index + family rank``.  The fields are
+balanced, so each exponent lies in ``-(2**15 - 1) .. 2**15 - 1`` and every
 monomial decodes uniquely; multiplying monomials adds their ints and a
 Laurent inverse negates one.  Each polynomial carries ``exp_bound``, an upper
 bound on the absolute value of its exponents, and a product whose bounds could
@@ -34,10 +34,11 @@ _FAMILY_RANK = {f: r for r, f in enumerate(FAMILIES)}
 _PRINT_NAME = {"alpha": "al"}
 _PARSE_NAME = {"al": "alpha"}
 
-_W = 32  # bits per exponent field
+_W = 16  # bits per exponent field
 _HALF = 1 << (_W - 1)
 _MASK = (1 << _W) - 1
 MAX_EXPONENT = _HALF - 1
+_FIELD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}[_W]  # struct code of one unsigned field
 
 
 class NonSquareMatrix(ValueError):
@@ -306,18 +307,16 @@ def _image_of(var: tuple[int, int], rules: SubstRules) -> Polynomial | None:
     return None
 
 
-def _mono_invert(p: Polynomial, var) -> Polynomial:
-    """Inverse of a unit (+-1 times a monomial); error otherwise."""
+def _check_unit(p: Polynomial, var) -> None:
+    """Raise unless ``p`` is a unit (+-1 times a monomial)."""
     if len(p.terms) != 1:
         raise NonInvertibleSubstitution(
             f"{var_name(var)} has a negative exponent but maps to a non-monomial"
         )
-    (m, c), = p.terms.items()
-    if c not in (1, -1):
+    if next(iter(p.terms.values())) not in (1, -1):
         raise NonInvertibleSubstitution(
             f"{var_name(var)} has a negative exponent but maps to a non-unit coefficient"
         )
-    return _wrap({-m: c}, p.exp_bound)
 
 
 def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
@@ -327,12 +326,17 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
     whole family (``"y"``) to a replacement polynomial, or to a callable taking
     the index.  Variables not covered are left alone.  A variable occurring
     with a negative exponent must map to an invertible monomial.
+
+    An image of one term ``c * M`` folds straight into each term it meets:
+    ``v**e`` adds ``e * M`` to the packed key and multiplies the coefficient
+    by ``c**|e|`` (``c`` is +-1 when ``e < 0``).  Only images of other sizes
+    are multiplied in as polynomials.
     """
     images: dict[int, Polynomial | None] = {}
     powers: dict[tuple[int, int], Polynomial] = {}
     pairs = []
     for m, c in p.terms.items():
-        kept, factors = 0, []
+        kept, bound, factors = 0, p.exp_bound, []
         for s, e in _decode(m):
             if s not in images:
                 images[s] = _image_of(_slot_var(s), rules)
@@ -340,12 +344,24 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
             if img is None:
                 kept += e << (_W * s)
                 continue
+            if e < 0:
+                _check_unit(img, _slot_var(s))
+            if len(img.terms) == 1:
+                (mi, ci), = img.terms.items()
+                kept += e * mi
+                c *= ci ** abs(e)
+                bound += abs(e) * img.exp_bound
+                continue
             factor = powers.get((s, e))
             if factor is None:
-                base = img if e > 0 else _mono_invert(img, _slot_var(s))
-                factor = powers[(s, e)] = base ** abs(e)
+                factor = powers[(s, e)] = img ** e
             factors.append(factor)
-        pairs.append((_wrap({kept: c}, p.exp_bound), product(factors)))
+        if bound > MAX_EXPONENT:
+            raise ExponentOverflow(
+                f"substituting into a term with exponents up to {p.exp_bound} "
+                f"may leave +-{MAX_EXPONENT}"
+            )
+        pairs.append((_wrap({kept: c}, bound), product(factors)))
     return sum_of_products(pairs)
 
 
@@ -423,7 +439,7 @@ def canonical(p: Polynomial) -> str:
 
     Every term is decoded by one ``struct`` unpack.  Adding ``bias``, which
     holds ``_HALF`` in every field, turns each balanced field ``e`` into
-    ``e + _HALF`` in ``1 .. 2**32 - 1``, so no field borrows from the next
+    ``e + _HALF`` in ``1 .. 2**16 - 1``, so no field borrows from the next
     and the little-endian bytes of ``m + bias`` hold the fields as unsigned
     words.  The format reads only the fields that some term uses and skips
     the others as padding bytes.  One ``itemgetter`` then permutes the used
@@ -439,14 +455,15 @@ def canonical(p: Polynomial) -> str:
     for m in terms:
         used |= (m + bias) ^ bias
     used_fields = [bool((used >> (_W * s)) & _MASK) for s in range(nfields)]
-    unpack = struct.Struct("<" + "".join(["I" if u else "4x" for u in used_fields])).unpack
+    pad = f"{_W // 8}x"
+    unpack = struct.Struct("<" + "".join([_FIELD_FORMAT if u else pad for u in used_fields])).unpack
     variables = [_slot_var(s) for s in range(nfields) if used_fields[s]]
     position = {v: pos for pos, v in enumerate(sorted(variables))}
     order = sorted(range(len(variables)), key=lambda i: var_name(variables[i]))
     tables = [_Factors(variables[i], position[variables[i]]) for i in order]
     # itemgetter of one index returns a bare value; one field needs no permuting
     permute = itemgetter(*order) if len(order) > 1 else None
-    nbytes = 4 * nfields
+    nbytes = _W // 8 * nfields
     rows = []
     for m, c in terms.items():
         fields = unpack((m + bias).to_bytes(nbytes, "little"))

@@ -18,7 +18,7 @@ from ftok.tableaux import Tableau
 
 MU_SMALL = 3  # weight bound for the corollary / bijection ranges
 MU_MAIN = 4  # weight bound for the theorem / lemma 1-2 ranges
-MU_N4 = 2  # weight bound at n = 4; |mu| <= 4 there takes about 40 s for theorem1Q alone
+MU_N4 = 2  # weight bound at n = 4; |mu| = 3-4 there would add about 18 s for theorem1Q alone
 
 
 def _finish(capsys, num, label, bad):
@@ -60,6 +60,13 @@ def _corollary_range(ident):
     ice sums."""
     return _small_range(ident) + [
         IdentitySpec(ident, {"mu": mu, "n": 4}) for mu in harness.partitions_up_to(MU_N4, 4)
+    ]
+
+
+def _reach_range(ident):
+    """The corollary range plus n = 5 with |mu| <= 1, for the cheap identities."""
+    return _corollary_range(ident) + [
+        IdentitySpec(ident, {"mu": mu, "n": 5}) for mu in harness.partitions_up_to(1, 5)
     ]
 
 
@@ -212,7 +219,7 @@ def test_criterion_07_corollaries_2_3(capsys):
 
 
 def test_criterion_08_corollary_4(capsys):
-    bad = _verify_all(_small_range("cor4_tokuyama"))
+    bad = _verify_all(_reach_range("cor4_tokuyama"))
     _finish(capsys, 8, "corollary 4 (t-deformation)", bad)
 
 
@@ -272,7 +279,7 @@ def test_criterion_11_compass_counts(capsys):
                 if c.count("SW") != c.count("NE") + mu.weight():
                     bad.append(f"count law mu={mu.serialize()} n={n}")
                     break
-    bad += _verify_all(_small_range("lemma4"))
+    bad += _verify_all(_reach_range("lemma4"))
     if (C_EX.count("SW"), C_EX.count("NE")) != (5, 1):
         bad.append("worked example should give 5 = 1 + 4")
     _finish(capsys, 11, "lemma 4 compass count law", bad)

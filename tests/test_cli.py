@@ -180,6 +180,13 @@ def test_verify_exit_codes(capsys):
     assert blob["pass"] is True and blob["diff"] == "0"
 
 
+def test_verify_exponent_past_the_field_exits_2(capsys):
+    # lemma4 at mu = (32768) builds t**32768, one past the 16-bit field
+    code, out, err = run(capsys, "verify", "--id", "lemma4", "--mu", "32768", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exponent 32768 outside +-32767" in err
+
+
 def test_suite_with_config(tmp_path, capsys):
     cfg = tmp_path / "suite.json"
     cfg.write_text(

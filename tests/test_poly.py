@@ -302,10 +302,21 @@ ORACLE_RULES = {
     "a": lambda j: {((poly.variable("t"), 2),): -1},
     "z": lambda i: {((poly.variable("x", i), 1),): 1, (): 1},
 }
-PACKED_RULES = {
-    family: (lambda f: lambda i: poly.Polynomial(f(i)))(f)
-    for family, f in ORACLE_RULES.items()
+# images of one term that substitute folds into the key: a non-unit monomial,
+# a unit constant, a variable onto itself, and zero
+FOLDED_RULES = {
+    "x": lambda i: {((poly.variable("y", i), 1), (poly.variable("t"), -1)): 2},
+    "t": lambda _: {(): -1},
+    "alpha": lambda j: {((poly.variable("alpha", j), 1),): 1},
+    "a": lambda j: {},
 }
+
+
+def _packed_rules(rules):
+    return {
+        family: (lambda f: lambda i: poly.Polynomial(f(i)))(f)
+        for family, f in rules.items()
+    }
 
 
 @given(raw_polys, raw_polys)
@@ -344,16 +355,27 @@ def test_sum_of_products_edge_cases():
     assert poly.sum_of_products([(x1, poly.ZERO), (poly.const(3), y1)]) == poly.const(3) * y1
 
 
+def _check_substitute(p, rules):
+    packed = _packed_rules(rules)
+    try:
+        expect = _oracle_substitute(p, rules)
+    except poly.NonInvertibleSubstitution:
+        with pytest.raises(poly.NonInvertibleSubstitution):
+            poly.substitute(poly.Polynomial(p), packed)
+        return
+    assert poly.substitute(poly.Polynomial(p), packed) == poly.Polynomial(expect)
+
+
 @given(raw_polys)
 @settings(max_examples=60)
 def test_packed_substitute_matches_oracle(p):
-    try:
-        expect = _oracle_substitute(p, ORACLE_RULES)
-    except poly.NonInvertibleSubstitution:
-        with pytest.raises(poly.NonInvertibleSubstitution):
-            poly.substitute(poly.Polynomial(p), PACKED_RULES)
-        return
-    assert poly.substitute(poly.Polynomial(p), PACKED_RULES) == poly.Polynomial(expect)
+    _check_substitute(p, ORACLE_RULES)
+
+
+@given(raw_polys)
+@settings(max_examples=60)
+def test_folded_substitute_matches_oracle(p):
+    _check_substitute(p, FOLDED_RULES)
 
 
 big_exponents = st.integers(min_value=-MAX, max_value=MAX).filter(lambda e: e != 0)
@@ -407,9 +429,31 @@ def test_exponent_overflow_examples():
     with pytest.raises(poly.ExponentOverflow):
         poly.parse(f"y1^-{MAX + 1}")
     # square-and-multiply must not square once more than it needs
-    assert poly.x(1) ** 2**30 == poly.var_poly(x1, 2**30)
+    half = (MAX + 1) // 2
+    assert poly.x(1) ** half == poly.var_poly(x1, half)
     assert poly.var_poly(x1, MAX - 1) * poly.x(1) == top
     assert poly.var_poly(x1, -MAX) * poly.const(-2) == poly.Polynomial({((x1, -MAX),): -2})
+
+
+def test_substitute_overflow_examples():
+    x1, y1 = poly.variable("x", 1), poly.variable("y", 1)
+    # the bound of a term is its polynomial's bound plus |e| * the image's bound
+    k = MAX // 3
+    square = {"y": lambda i: poly.x(i) ** 2}
+    assert poly.substitute(poly.var_poly(y1, k), square) == poly.var_poly(x1, 2 * k)
+    with pytest.raises(poly.ExponentOverflow):
+        poly.substitute(poly.var_poly(y1, k + 1), square)
+    # a folded exponent past MAX, for a positive and for a negative power
+    half = (MAX + 1) // 2
+    for e in (half, -half):
+        with pytest.raises(poly.ExponentOverflow):
+            poly.substitute(poly.var_poly(y1, e), {"y": lambda i: poly.t() * poly.x(i) ** 2})
+    # by bound: x1^MAX * t fits, but the term's bound MAX plus 1 may not
+    with pytest.raises(poly.ExponentOverflow):
+        poly.substitute(poly.var_poly(x1, MAX) * poly.y(1), {"y": lambda i: poly.t()})
+    # a non-monomial image goes through the product path and raises there too
+    with pytest.raises(poly.ExponentOverflow):
+        poly.substitute(poly.var_poly(x1, MAX) * poly.y(1), {"y": lambda i: poly.t() + poly.ONE})
 
 
 @given(
