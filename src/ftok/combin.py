@@ -9,10 +9,8 @@ row i pairs with pattern rows i and i-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import poly, tableaux
-from .shapes import StrictPartition, interlacing, is_int
+from .shapes import FrozenValue, StrictPartition, interlacing, is_int
 from .tableaux import CellEntry, InvalidTableau, Tableau
 
 CPM_LETTERS = ("WE", "NS", "NE", "SE", "NW", "SW")
@@ -34,9 +32,8 @@ class InvalidShape(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GTPattern:
-    rows: tuple[tuple[int, ...], ...]  # rows[i-1] has i entries, bottom-up
+class GTPattern(FrozenValue):
+    __slots__ = ("rows",)  # tuple of int tuples; rows[i-1] has i entries, bottom-up
 
     def __init__(self, rows):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
@@ -83,10 +80,8 @@ def validate_gtp(g: GTPattern) -> None:
                 raise InvalidPattern(f"betweenness fails at ({i},{j})")
 
 
-@dataclass(frozen=True)
-class ASM:
-    entries: tuple[tuple[int, ...], ...]  # rows top-down
-    shape: StrictPartition
+class ASM(FrozenValue):
+    __slots__ = ("entries", "shape")  # int rows top-down, StrictPartition
 
     def __init__(self, entries, shape):
         object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))
@@ -136,10 +131,8 @@ def validate_asm(a: ASM) -> None:
             raise InvalidASM(f"column {j + 1} sums to {sum(col)}, want {want}")
 
 
-@dataclass(frozen=True)
-class CPM:
-    entries: tuple[tuple[str, ...], ...]
-    shape: StrictPartition
+class CPM(FrozenValue):
+    __slots__ = ("entries", "shape")  # rows of CPM_LETTERS, StrictPartition
 
     def __init__(self, entries, shape):
         object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))
@@ -284,9 +277,11 @@ def asm_from_cpm(c: CPM) -> ASM:
 
 # -- weights ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoltzmannTable:
-    variant: str  # general, bmn, lascoux
+class BoltzmannTable(FrozenValue):
+    __slots__ = ("variant",)  # general, bmn, lascoux
+
+    def __init__(self, variant: str):
+        object.__setattr__(self, "variant", variant)
 
     def weight_of(self, letter: str, i: int, j: int) -> poly.Polynomial:
         if letter not in CPM_LETTERS:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 
 from . import combin, paths, poly, sixvertex, symfun
 from .shapes import (
+    FrozenValue,
     Partition,
     StrictPartition,
     conjugate,
@@ -36,10 +36,12 @@ class BadConfig(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
-    id: str
-    params: dict = field(default_factory=dict)
+class IdentitySpec(FrozenValue):
+    __slots__ = ("id", "params")  # identity id, parameter name -> value
+
+    def __init__(self, id: str, params: dict | None = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "params", {} if params is None else params)
 
     def describe(self) -> str:
         bits = []
@@ -52,14 +54,18 @@ class IdentitySpec:
         return f"{self.id}[{', '.join(bits)}]"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    spec: IdentitySpec
-    lhs: str
-    rhs: str
-    passed: bool
-    diff: str
-    elapsed: float
+class IdentityReport(FrozenValue):
+    __slots__ = ("spec", "lhs", "rhs", "passed", "diff", "elapsed")
+
+    def __init__(
+        self, spec: IdentitySpec, lhs: str, rhs: str, passed: bool, diff: str, elapsed: float
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "diff", diff)
+        object.__setattr__(self, "elapsed", elapsed)
 
     def to_json(self) -> dict:
         params = {}

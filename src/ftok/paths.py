@@ -16,11 +16,10 @@ Paths of a family may not share any lattice point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import poly, tableaux
-from .shapes import Partition, StrictPartition
+from .shapes import FrozenValue, Partition, StrictPartition
 from .tableaux import CellEntry, InvalidTableau, Tableau
 
 
@@ -32,10 +31,12 @@ class IntersectingPaths(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    start: tuple[int, int]
-    steps: str  # characters H, V, D
+class LatticePath(FrozenValue):
+    __slots__ = ("start", "steps")  # (row, column), characters H, V, D
+
+    def __init__(self, start: tuple[int, int], steps: str):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
 
     def points(self) -> list[tuple[int, int]]:
         r, c = self.start
@@ -54,12 +55,9 @@ class LatticePath:
         return pts
 
 
-@dataclass(frozen=True)
-class PathFamily:
-    kind: str  # sst or pst
-    n: int
-    shape: Partition | StrictPartition
-    paths: tuple[LatticePath, ...]
+class PathFamily(FrozenValue):
+    # sst or pst, int, Partition | StrictPartition, tuple of LatticePath
+    __slots__ = ("kind", "n", "shape", "paths")
 
     def __init__(self, kind, n, shape, paths):
         if kind not in ("sst", "pst"):

@@ -26,8 +26,8 @@ from __future__ import annotations
 import functools
 import re
 import struct
+from collections.abc import Callable, Iterable, Mapping
 from operator import getitem, itemgetter
-from typing import Callable, Iterable, Mapping, Union
 
 FAMILIES = ("x", "y", "a", "t", "z", "alpha")
 _FAMILY_RANK = {f: r for r, f in enumerate(FAMILIES)}
@@ -293,7 +293,7 @@ def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomia
 
 # -- substitution -------------------------------------------------------
 
-SubstRules = Mapping[Union[tuple, str], Union[Polynomial, Callable[[int], Polynomial]]]
+SubstRules = Mapping[tuple | str, Polynomial | Callable[[int], Polynomial]]
 
 
 def _image_of(var: tuple[int, int], rules: SubstRules) -> Polynomial | None:
@@ -336,7 +336,7 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
     powers: dict[tuple[int, int], Polynomial] = {}
     pairs = []
     for m, c in p.terms.items():
-        kept, bound, factors = 0, p.exp_bound, []
+        kept, added, factors = 0, 0, []
         for s, e in _decode(m):
             if s not in images:
                 images[s] = _image_of(_slot_var(s), rules)
@@ -350,17 +350,22 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
                 (mi, ci), = img.terms.items()
                 kept += e * mi
                 c *= ci ** abs(e)
-                bound += abs(e) * img.exp_bound
+                added += abs(e) * img.exp_bound
                 continue
             factor = powers.get((s, e))
             if factor is None:
                 factor = powers[(s, e)] = img ** e
             factors.append(factor)
+        bound = p.exp_bound + added
         if bound > MAX_EXPONENT:
-            raise ExponentOverflow(
-                f"substituting into a term with exponents up to {p.exp_bound} "
-                f"may leave +-{MAX_EXPONENT}"
-            )
+            # Only then find the term's own bound, the largest |e| among the
+            # fields it keeps: the loop above stays free of bound work.
+            bound = added + max((abs(e) for s, e in _decode(m) if images[s] is None), default=0)
+            if bound > MAX_EXPONENT:
+                raise ExponentOverflow(
+                    f"substituting into a term with exponents up to {p.exp_bound} "
+                    f"may leave +-{MAX_EXPONENT}"
+                )
         pairs.append((_wrap({kept: c}, bound), product(factors)))
     return sum_of_products(pairs)
 

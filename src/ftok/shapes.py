@@ -8,8 +8,8 @@ objects (Gelfand-Tsetlin top rows and the rho offset are zero-sensitive);
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
+from operator import attrgetter
 
 
 class MuTooLong(ValueError):
@@ -21,9 +21,57 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class Partition:
-    parts: tuple[int, ...]
+class FrozenValue:
+    """Base of ftok's immutable value classes.
+
+    A subclass names its fields once, in ``__slots__``, and sets them in its
+    ``__init__`` with ``object.__setattr__``.  Equality (same class, equal
+    field tuples), hashing (of the field tuple) and ``repr``
+    (``Name(field=value, ...)``) then behave as a frozen dataclass's do, but
+    defining the class generates and ``exec``s no code: each CLI request is
+    its own process, so that work would be paid on every request.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:  # attrgetter returns a bare value for one name
+            cls._values = lambda self: (get(self),)
+        else:
+            cls._values = lambda self: get(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # copy and pickle: the instance is rebuilt from its field tuple
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class Partition(FrozenValue):
+    __slots__ = ("parts",)  # tuple[int, ...]
 
     def __init__(self, parts=()):
         parts = tuple(parts)
@@ -52,11 +100,10 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class StrictPartition:
+class StrictPartition(FrozenValue):
     """Strictly decreasing positive parts, optionally one terminal zero."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)  # tuple[int, ...]
 
     def __init__(self, parts=()):
         parts = tuple(parts)

@@ -12,10 +12,9 @@ deformed ``vandermonde`` times a factorial Schur function, sit on top of them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import combin, poly, tableaux
-from .shapes import Partition, StrictPartition
+from .shapes import FrozenValue, Partition, StrictPartition
 from .tableaux import InvalidShapeForKind
 
 # symmetric function kind -> (tableau kind, the ring map that turns the
@@ -32,8 +31,7 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(FrozenValue):
     """One argument of q_m.
 
     The ell-th chosen slot with variable v contributes (v + sign * a_{ell +
@@ -42,9 +40,12 @@ class Slot:
     slot's left.
     """
 
-    var: tuple[int, int]
-    sign: int
-    offset: int
+    __slots__ = ("var", "sign", "offset")  # poly.variable key, +-1, int
+
+    def __init__(self, var: tuple[int, int], sign: int, offset: int):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "offset", offset)
 
 
 def x_slot(i: int, offset: int = 0) -> Slot:
@@ -55,9 +56,8 @@ def y_slot(i: int, offset: int = 0) -> Slot:
     return Slot(poly.variable("y", i), -1, offset)
 
 
-@dataclass(frozen=True)
-class ShiftedAlphabet:
-    slots: tuple[Slot, ...]
+class ShiftedAlphabet(FrozenValue):
+    __slots__ = ("slots",)  # tuple of Slot
 
     def __init__(self, slots):
         object.__setattr__(self, "slots", tuple(slots))

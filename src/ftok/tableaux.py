@@ -13,12 +13,12 @@ Cells are keyed by 1-based matrix coordinates matching the (shifted) diagram.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import poly
-from .shapes import Partition, StrictPartition, is_int, shifted_cells, young_cells
+from .shapes import FrozenValue, Partition, StrictPartition, is_int, shifted_cells, young_cells
 
 KINDS = ("sst", "shifted", "primedP", "primedQ")
 
@@ -38,13 +38,11 @@ class InvalidTableau(ValueError):
 _ENTRY_RE = re.compile(r"([1-9][0-9]*)(')?")
 
 
-@dataclass(frozen=True, order=True)
-class CellEntry:
+@functools.total_ordering
+class CellEntry(FrozenValue):
     """An entry k or k' of the primed alphabet; k' sorts just below k."""
 
-    sort_key: tuple[int, int]
-    value: int
-    primed: bool
+    __slots__ = ("sort_key", "value", "primed")  # (value, 0 if primed else 1), int, bool
 
     def __init__(self, value: int, primed: bool = False):
         if value < 1:
@@ -52,6 +50,12 @@ class CellEntry:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "primed", primed)
         object.__setattr__(self, "sort_key", (value, 0 if primed else 1))
+
+    def __lt__(self, other):
+        # sort_key fixes value and primed, so this orders as the field tuples do
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key < other.sort_key
 
     def __str__(self):
         return f"{self.value}'" if self.primed else str(self.value)
@@ -65,18 +69,17 @@ class CellEntry:
         return CellEntry(int(m[1]), bool(m[2]))
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    cell: tuple[int, int]
+class Violation(FrozenValue):
+    __slots__ = ("rule", "cell")  # str, (i, j)
+
+    def __init__(self, rule: str, cell: tuple[int, int]):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "cell", cell)
 
 
-@dataclass(frozen=True)
-class Tableau:
-    kind: str
-    shape: Partition | StrictPartition
-    n: int
-    cells: tuple  # sorted tuple of ((i, j), CellEntry)
+class Tableau(FrozenValue):
+    # str, Partition | StrictPartition, int, sorted tuple of ((i, j), CellEntry)
+    __slots__ = ("kind", "shape", "n", "cells")
 
     def __init__(self, kind, shape, n, cells):
         if kind not in KINDS:

@@ -313,11 +313,11 @@ for argv in sys.argv[1:]:
 """
 
 
-def _modules_loaded(tmp_path, code, *args):
+def _modules_loaded(tmp_path, code, *args, flags=()):
     """The names in sys.modules after ``code`` runs in a fresh interpreter
     (pytest and hypothesis load some of the modules checked here themselves)."""
     result = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)", *args],
+        [sys.executable, *flags, "-c", code + "\nimport sys\nprint(*sys.modules)", *args],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
@@ -343,6 +343,16 @@ def test_subcommands_import_only_what_they_run(tmp_path):
     harness_only = _modules_loaded(tmp_path, "import ftok.harness")
     assert "ftok.harness" in harness_only
     assert not harness_only & {"hashlib", "fractions"}
+    # the value classes generate no code: dataclasses would load inspect and ast
+    for loaded in (light, det, harness_only):
+        assert not loaded & {"dataclasses", "inspect"}
+    # without site (whose .pth files may load typing) nothing ftok runs needs typing
+    for code, args in (
+        (_RUN_CLI, ("enumerate --kind gtp --shape 3,1", "sf --kind lemma2-det --shape 2,1 --n 2")),
+        ("import ftok.cli, ftok.harness", ()),
+    ):
+        bare = _modules_loaded(tmp_path, code, *args, flags=("-S",))
+        assert "ftok.cli" in bare and not bare & {"typing", "dataclasses", "inspect"}
 
 
 # Shape text that parses, fails to parse, or parses to a shape too long for n;

@@ -437,12 +437,19 @@ def test_exponent_overflow_examples():
 
 def test_substitute_overflow_examples():
     x1, y1 = poly.variable("x", 1), poly.variable("y", 1)
-    # the bound of a term is its polynomial's bound plus |e| * the image's bound
+    # the bound of a term is the largest |e| it keeps plus |e| * each folded
+    # image's bound, so a variable substituted away adds nothing of its own
     k = MAX // 3
     square = {"y": lambda i: poly.x(i) ** 2}
-    assert poly.substitute(poly.var_poly(y1, k), square) == poly.var_poly(x1, 2 * k)
+    for e in (k, k + 1, MAX // 2):
+        assert poly.substitute(poly.var_poly(y1, e), square) == poly.var_poly(x1, 2 * e)
     with pytest.raises(poly.ExponentOverflow):
-        poly.substitute(poly.var_poly(y1, k + 1), square)
+        poly.substitute(poly.var_poly(y1, (MAX + 1) // 2), square)
+    # a kept field still counts, before the folded slot (x1) or after it (z1):
+    # x1^(3k+2) overflows; z1^k * x1^(2k+2) fits, but its bound 3k + 2 does not
+    for kept in (poly.var_poly(x1, k), poly.var_poly(poly.variable("z", 1), k)):
+        with pytest.raises(poly.ExponentOverflow):
+            poly.substitute(kept * poly.var_poly(y1, k + 1), square)
     # a folded exponent past MAX, for a positive and for a negative power
     half = (MAX + 1) // 2
     for e in (half, -half):
