@@ -336,13 +336,15 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
     powers: dict[tuple[int, int], Polynomial] = {}
     pairs = []
     for m, c in p.terms.items():
-        kept, added, factors = 0, 0, []
+        kept, largest, added, factors = 0, 0, 0, []
         for s, e in _decode(m):
             if s not in images:
                 images[s] = _image_of(_slot_var(s), rules)
             img = images[s]
             if img is None:
                 kept += e << (_W * s)
+                if e > largest or -e > largest:
+                    largest = abs(e)
                 continue
             if e < 0:
                 _check_unit(img, _slot_var(s))
@@ -356,16 +358,12 @@ def substitute(p: Polynomial, rules: SubstRules) -> Polynomial:
             if factor is None:
                 factor = powers[(s, e)] = img ** e
             factors.append(factor)
-        bound = p.exp_bound + added
+        bound = largest + added
         if bound > MAX_EXPONENT:
-            # Only then find the term's own bound, the largest |e| among the
-            # fields it keeps: the loop above stays free of bound work.
-            bound = added + max((abs(e) for s, e in _decode(m) if images[s] is None), default=0)
-            if bound > MAX_EXPONENT:
-                raise ExponentOverflow(
-                    f"substituting into a term with exponents up to {p.exp_bound} "
-                    f"may leave +-{MAX_EXPONENT}"
-                )
+            raise ExponentOverflow(
+                f"substituting into a term may give exponents up to {bound}, "
+                f"past +-{MAX_EXPONENT}"
+            )
         pairs.append((_wrap({kept: c}, bound), product(factors)))
     return sum_of_products(pairs)
 
