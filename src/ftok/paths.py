@@ -31,28 +31,31 @@ class IntersectingPaths(ValueError):
     pass
 
 
+# the (row, column) change of each step letter
+STEPS = {"H": (0, 1), "V": (1, 0), "D": (1, 1)}
+
+
 class LatticePath(FrozenValue):
-    __slots__ = ("start", "steps")  # (row, column), characters H, V, D
+    __slots__ = ("start", "steps")  # (row, column), letters of STEPS
 
     def __init__(self, start: tuple[int, int], steps: str):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
 
-    def points(self) -> list[tuple[int, int]]:
+    def walk(self) -> Iterator[tuple[str, int, int]]:
+        """Yield (step, row, column) after each step."""
         r, c = self.start
-        pts = [(r, c)]
         for s in self.steps:
-            if s == "H":
-                c += 1
-            elif s == "V":
-                r += 1
-            elif s == "D":
-                r += 1
-                c += 1
-            else:
-                raise MalformedFamily(f"unknown step {s!r}")
-            pts.append((r, c))
-        return pts
+            try:
+                dr, dc = STEPS[s]
+            except KeyError:
+                raise MalformedFamily(f"unknown step {s!r}") from None
+            r += dr
+            c += dc
+            yield s, r, c
+
+    def points(self) -> list[tuple[int, int]]:
+        return [self.start] + [(r, c) for _, r, c in self.walk()]
 
 
 class PathFamily(FrozenValue):
@@ -79,8 +82,6 @@ def _endpoints(kind: str, shape, n: int, i: int) -> tuple[tuple[int, int], tuple
 
 def _check_grammar(kind: str, path: LatticePath) -> None:
     steps = path.steps
-    if any(s not in "HVD" for s in steps):
-        raise MalformedFamily(f"bad step string {steps!r}")
     if not steps or steps[-1] != "V":
         raise MalformedFamily("last step must be V")
     if kind == "sst" and "D" in steps:
@@ -113,87 +114,39 @@ def validate_family(f: PathFamily) -> None:
 def tableau_to_paths(t: Tableau) -> PathFamily:
     tableaux.check(t)
     if t.kind == "sst":
-        return _sst_to_paths(t)
-    if t.kind == "primedP":
-        return _pst_to_paths(t)
-    raise InvalidTableau(f"no path encoding for kind {t.kind!r}")
-
-
-def _sst_to_paths(t: Tableau) -> PathFamily:
-    n = t.n
+        kind, row_lengths = "sst", t.shape.padded(t.n)
+    elif t.kind == "primedP":
+        kind, row_lengths = "pst", t.shape.parts
+    else:
+        raise InvalidTableau(f"no path encoding for kind {t.kind!r}")
     cells = t.cell_map()
-    mu = t.shape.padded(n)
     paths = []
-    for i in range(1, n + 1):
-        row = [cells[(i, j)].value for j in range(1, mu[i - 1] + 1)]
+    for i, length in enumerate(row_lengths, start=1):
+        first = 1 if kind == "sst" else i  # column of the row's first cell
         steps = []
         at = i
-        for k in row:
-            steps.append("V" * (k - at) + "H")
-            at = k
-        steps.append("V" * (n + 1 - at))
-        paths.append(LatticePath((i, n - i + 1), "".join(steps)))
-    fam = PathFamily("sst", n, t.shape, paths)
-    validate_family(fam)
-    return fam
-
-
-def _pst_to_paths(t: Tableau) -> PathFamily:
-    n = t.n
-    cells = t.cell_map()
-    lam = tuple(t.shape.parts)
-    paths = []
-    for i in range(1, n + 1):
-        # diagonal d holds the entry of cell (i, i+d-1)
-        steps = []
-        at = i
-        first = True
-        for d in range(1, lam[i - 1] + 1):
-            e = cells[(i, i + d - 1)]
-            k = e.value
-            if first:
-                steps.append("H")  # diagonal entry i, edge (i,0)->(i,1)
-                first = False
-            elif e.primed:
-                steps.append("V" * (k - 1 - at) + "D")
-            else:
-                steps.append("V" * (k - at) + "H")
-            at = k
-        steps.append("V" * (n + 1 - at))
-        paths.append(LatticePath((i, 0), "".join(steps)))
-    fam = PathFamily("pst", n, t.shape, paths)
+        for j in range(first, first + length):
+            e = cells[(i, j)]
+            steps.append("V" * (e.value - at - e.primed) + ("D" if e.primed else "H"))
+            at = e.value
+        steps.append("V" * (t.n + 1 - at))
+        start, _ = _endpoints(kind, t.shape, t.n, i)
+        paths.append(LatticePath(start, "".join(steps)))
+    fam = PathFamily(kind, t.n, t.shape, paths)
     validate_family(fam)
     return fam
 
 
 def paths_to_tableau(f: PathFamily) -> Tableau:
     validate_family(f)
-    if f.kind == "sst":
-        cells = {}
-        for i, path in enumerate(f.paths, start=1):
-            r, _ = path.start
-            ell = 0
-            for s in path.steps:
-                if s == "H":
-                    ell += 1
-                    cells[(i, ell)] = CellEntry(r)
-                else:
-                    r += 1
-        t = Tableau("sst", f.shape, f.n, cells)
-    else:
-        cells = {}
-        for i, path in enumerate(f.paths, start=1):
-            r, c = path.start
-            for s in path.steps:
-                if s == "H":
-                    c += 1
-                    cells[(i, i + c - 1)] = CellEntry(r)
-                elif s == "D":
-                    r, c = r + 1, c + 1
-                    cells[(i, i + c - 1)] = CellEntry(r, True)
-                else:
-                    r += 1
-        t = Tableau("primedP", f.shape, f.n, cells)
+    cells = {}
+    for i, path in enumerate(f.paths, start=1):
+        # an H or D edge ending in column c fills cell (i, c + offset)
+        offset = i - f.n - 1 if f.kind == "sst" else i - 1
+        for s, r, c in path.walk():
+            if s != "V":
+                cells[(i, c + offset)] = CellEntry(r, s == "D")
+    t = Tableau("sst" if f.kind == "sst" else "primedP", f.shape, f.n, cells)
     v = tableaux.validate(t)
     if v is not None:
         raise MalformedFamily(f"family decodes to rule {v.rule} violation at {v.cell}")
@@ -201,29 +154,22 @@ def paths_to_tableau(f: PathFamily) -> Tableau:
 
 
 def _path_weight(kind: str, n: int, path: LatticePath) -> poly.Polynomial:
-    r, c = path.start
     factors = []
-    first = True
-    for s in path.steps:
-        if s == "H":
-            c += 1
-            if kind == "sst":
-                idx = r + c - n - 1
-                if idx < 0:
-                    raise MalformedFamily(f"H edge at ({r},{c}) has no weight")
-                factors.append(poly.x(r) + poly.a(idx))
-            elif first:
-                factors.append(poly.x(r))
-            else:
-                factors.append(poly.x(r) + poly.a(c - 1))
-            first = False
-        elif s == "D":
-            r += 1
-            c += 1
+    for s, r, c in path.walk():
+        if s == "D":
             factors.append(poly.y(r) - poly.a(c - 1))
-            first = False
+        elif s == "V":
+            continue
+        elif kind == "sst":
+            # path i starts at (i, n - i + 1) and only moves right or down, so
+            # the a index r + c - n - 1 of an H edge ending at (r, c) is >= 1
+            factors.append(poly.x(r) + poly.a(r + c - n - 1))
+        elif c == 1:
+            # a pst path starts in column 0 with an H step: its first H edge
+            # is the only one ending in column 1
+            factors.append(poly.x(r))
         else:
-            r += 1
+            factors.append(poly.x(r) + poly.a(c - 1))
     return poly.product(factors)
 
 
@@ -235,30 +181,30 @@ def paths_weight(f: PathFamily) -> poly.Polynomial:
 def _free_paths(kind: str, shape, n: int, i: int) -> list[LatticePath]:
     """All monotone paths for endpoint pair i obeying the step grammar."""
     start, end = _endpoints(kind, shape, n, i)
+    moves = "HVD" if kind == "pst" else "HV"
     out: list[LatticePath] = []
 
     def go(r, c, steps):
         if (r, c) == end:
-            if steps and steps[-1] == "V" and (kind != "pst" or steps[0] == "H"):
-                out.append(LatticePath(start, "".join(steps)))
+            if steps.endswith("V"):
+                out.append(LatticePath(start, steps))
             return
         if r > end[0] or c > end[1]:
             return
-        if kind == "pst" and not steps:
-            go(r, c + 1, ["H"])
-            return
-        go(r, c + 1, steps + ["H"])
-        go(r + 1, c, steps + ["V"])
-        if kind == "pst":
-            go(r + 1, c + 1, steps + ["D"])
+        for s in "H" if kind == "pst" and not steps else moves:
+            dr, dc = STEPS[s]
+            go(r + dr, c + dc, steps + s)
 
-    go(start[0], start[1], [])
+    go(start[0], start[1], "")
     return out
 
 
 def nonintersecting_families(kind: str, shape, n: int) -> Iterator[PathFamily]:
     """Families matching start i with end i, pairwise point-disjoint."""
-    per_pair = [_free_paths(kind, shape, n, i) for i in range(1, n + 1)]
+    per_pair = [
+        [(path, path.points()) for path in _free_paths(kind, shape, n, i)]
+        for i in range(1, n + 1)
+    ]
     chosen: list[LatticePath] = []
     used: set[tuple[int, int]] = set()
 
@@ -266,8 +212,7 @@ def nonintersecting_families(kind: str, shape, n: int) -> Iterator[PathFamily]:
         if i == n:
             yield PathFamily(kind, n, shape, list(chosen))
             return
-        for path in per_pair[i]:
-            pts = path.points()
+        for path, pts in per_pair[i]:
             if used.isdisjoint(pts):
                 chosen.append(path)
                 used.update(pts)

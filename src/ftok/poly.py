@@ -196,13 +196,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({canonical(self)!r})"
 
-    def degree_in(self, var: tuple[int, int]) -> int:
-        """Largest absolute exponent of ``var``; 0 when the variable is absent."""
-        s = _slot(var)
-        return max(
-            (abs(e) for m in self.terms for t, e in _decode(m) if t == s), default=0
-        )
-
 
 def _wrap(terms: dict, bound: int) -> Polynomial:
     p = Polynomial.__new__(Polynomial)

@@ -81,6 +81,48 @@ def test_malformed_families():
         paths.validate_family(
             PathFamily("pst", 1, StrictPartition((1,)), [LatticePath((1, 0), "VH")])
         )
+    with pytest.raises(paths.MalformedFamily, match="unknown step 'X'"):
+        LatticePath((1, 1), "XV").points()
+    with pytest.raises(paths.MalformedFamily, match="unknown family kind 'gtp'"):
+        PathFamily("gtp", 1, Partition((0,)), [LatticePath((1, 1), "V")])
+    rejected = [
+        # a step letter outside H, V, D
+        (PathFamily("sst", 1, Partition((0,)), [LatticePath((1, 1), "XV")]), "step"),
+        # D steps on paths that reach their end points
+        (
+            PathFamily(
+                "sst",
+                2,
+                Partition((1, 0)),
+                [LatticePath((1, 2), "DV"), LatticePath((2, 1), "V")],
+            ),
+            "sst paths admit no D steps",
+        ),
+        (
+            PathFamily(
+                "pst",
+                2,
+                StrictPartition((2, 1)),
+                [LatticePath((1, 0), "DHV"), LatticePath((2, 0), "HV")],
+            ),
+            "pst paths start with an H step",
+        ),
+        (
+            PathFamily("pst", 2, StrictPartition((1,)), [LatticePath((1, 0), "HV")]),
+            "pst shape length must equal n",
+        ),
+        (
+            PathFamily("sst", 2, Partition((1, 0)), [LatticePath((1, 2), "HVV")]),
+            "expected 2 paths, got 1",
+        ),
+        (
+            PathFamily("sst", 1, Partition((1,)), [LatticePath((1, 1), "VHV")]),
+            r"path 1 ends at \(3, 2\), want \(2, 2\)",
+        ),
+    ]
+    for fam, message in rejected:
+        with pytest.raises(paths.MalformedFamily, match=message):
+            paths.validate_family(fam)
     bad = PathFamily(
         "sst",
         2,
@@ -89,6 +131,12 @@ def test_malformed_families():
     )
     with pytest.raises(paths.IntersectingPaths):
         paths.validate_family(bad)
+
+
+def test_pst_tableau_shorter_than_n():
+    short = Tableau.from_json({"kind": "primedP", "shape": [1], "n": 2, "rows": [["1"]]})
+    with pytest.raises(paths.MalformedFamily, match="pst shape length must equal n"):
+        paths.tableau_to_paths(short)
 
 
 def test_rejects_invalid_tableau():

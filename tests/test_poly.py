@@ -211,12 +211,6 @@ def test_canonical_ordering_and_format():
     assert poly.parse(poly.canonical(q)) == q
 
 
-def test_degree_in():
-    p = poly.x(1) ** 3 + poly.y(2)
-    assert p.degree_in(poly.variable("x", 1)) == 3
-    assert p.degree_in(poly.variable("a", 1)) == 0
-
-
 # -- packed monomials against a tuple-monomial oracle ----------------------
 #
 # The oracle keeps each monomial as a sorted tuple of (variable, exponent)

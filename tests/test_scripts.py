@@ -28,10 +28,11 @@ def test_tracer_hooks_still_wrap():
         "from ftok import harness\n"
         "rec = tracing.Recorder()\n"
         "tracing.install(rec)\n"
-        "for ident in ('cor1_ikeda', 'pathsLemma1'):\n"
+        "for ident in ('cor1_ikeda', 'pathsLemma1', 'pathsLemma2'):\n"
         "    spec = harness.IdentitySpec(ident, {'mu': '1', 'n': 3})\n"
         "    assert harness.verify_identity(spec).passed, ident\n"
         "assert rec.counters['poly.mul.calls'] > 0, dict(rec.counters)\n"
+        "assert rec.counters['paths.families.objects'] > 0, dict(rec.counters)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     result = subprocess.run(
