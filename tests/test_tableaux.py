@@ -41,18 +41,27 @@ def test_examples_validate():
 
 
 def test_validate_violations():
-    bad = from_rows("sst", (1, 1), 2, [["1"], ["1"]])
-    v = tableaux.validate(bad)
-    assert v is not None and v.rule == "T2" and v.cell == (2, 1)
-    bad = from_rows("primedQ", (3,), 2, [["2'", "2'", "2'"]])
-    v = tableaux.validate(bad)
-    assert v is not None and v.rule == "P3"
-    bad = from_rows("primedP", (1,), 1, [["1'"]])
-    v = tableaux.validate(bad)
-    assert v is not None and v.rule == "P5"
-    bad = from_rows("shifted", (2, 1), 2, [["2", "2"], ["2"]])
-    v = tableaux.validate(bad)
-    assert v is not None and v.rule == "S3" and v.cell == (2, 2)
+    cases = [
+        ("sst", (2,), 2, [["2", "1"]], "T1", (1, 2)),
+        ("sst", (1, 1), 2, [["1"], ["1"]], "T2", (2, 1)),
+        ("shifted", (2,), 2, [["2", "1"]], "S1", (1, 2)),
+        ("shifted", (3, 1), 3, [["1", "3", "3"], ["2"]], "S2", (2, 2)),
+        ("shifted", (2, 1), 2, [["2", "2"], ["2"]], "S3", (2, 2)),
+        ("primedQ", (2,), 2, [["2", "1"]], "P1", (1, 2)),
+        ("primedQ", (3, 1), 3, [["1", "3", "3"], ["2"]], "P2", (2, 2)),
+        ("primedQ", (3,), 2, [["2'", "2'", "2'"]], "P3", (1, 2)),
+        # the repeated 2' is two cells back, so P1 breaks before P3 could
+        ("primedQ", (3,), 2, [["2'", "2", "2'"]], "P1", (1, 3)),
+        ("primedQ", (3, 1), 2, [["1", "2", "2"], ["2"]], "P4", (2, 2)),
+        ("primedP", (1,), 1, [["1'"]], "P5", (1, 1)),
+        ("sst", (1,), 1, [["2"]], "alphabet", (1, 1)),
+        ("primedQ", (2,), 1, [["1", "2'"]], "alphabet", (1, 2)),
+        ("sst", (1,), 1, [["1'"]], "alphabet", (1, 1)),
+        ("shifted", (2,), 2, [["1", "2'"]], "alphabet", (1, 2)),
+    ]
+    for kind, shape, n, rows, rule, cell in cases:
+        v = tableaux.validate(from_rows(kind, shape, n, rows))
+        assert v == tableaux.Violation(rule, cell), (kind, rows)
 
 
 def test_shape_mismatch():
