@@ -182,7 +182,7 @@ def _check_lemma3a(m: int, p: int, n: int):
 
 def _check_lemma3b(m: int, p: int, q: int, n: int):
     if not (m >= 0 and 1 <= p < q <= n):
-        raise BadParams(f"need 1 <= p < q <= n, got p={p}, q={q}, n={n}")
+        raise BadParams(f"need m >= 0 and 1 <= p < q <= n, got m={m}, p={p}, q={q}, n={n}")
     l1 = [x_slot(r, r - p) for r in range(p, q)]
     l1 += [y_slot(q, q - 1 - p), x_slot(q, q - 1 - p)]
     l2 = [x_slot(r, r - p - 1) for r in range(p + 1, q + 1)]

@@ -128,10 +128,7 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
     if kind not in KINDS:
         raise InvalidShapeForKind(f"unknown symmetric function kind {kind!r}")
     tkind = KINDS[kind][0]
-    if tkind == "sst" and not isinstance(shape, Partition):
-        raise InvalidShapeForKind(f"{kind} needs a Partition shape")
-    if tkind != "sst" and not isinstance(shape, StrictPartition):
-        raise InvalidShapeForKind(f"{kind} needs a StrictPartition shape")
+    tableaux.diagram_cells(tkind, shape)  # InvalidShapeForKind on the wrong shape class
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
     parts = tuple(p for p in shape.parts if p > 0)
@@ -140,7 +137,7 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
     return combin.row_transfer(
         parts + (0,) * (n - len(parts)),
         lambda k, outer, inner: _strip_sum(kind, outer, inner),
-        strict=tkind != "sst",
+        strict=tableaux.KINDS[tkind][0] is StrictPartition,
     )
 
 

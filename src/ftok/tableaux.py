@@ -18,9 +18,15 @@ import re
 from collections.abc import Iterator
 
 from . import poly
-from .shapes import FrozenValue, Partition, StrictPartition, is_int, shifted_cells, young_cells
+from .shapes import FrozenValue, Partition, StrictPartition, conjugate, is_int, shifted_cells, young_cells
 
-KINDS = ("sst", "shifted", "primedP", "primedQ")
+# tableau kind -> (shape class, the diagram's cells, whether entries may be primed)
+KINDS = {
+    "sst": (Partition, young_cells, False),
+    "shifted": (StrictPartition, shifted_cells, False),
+    "primedP": (StrictPartition, shifted_cells, True),
+    "primedQ": (StrictPartition, shifted_cells, True),
+}
 
 
 class InvalidShapeForKind(ValueError):
@@ -82,8 +88,7 @@ class Tableau(FrozenValue):
     __slots__ = ("kind", "shape", "n", "cells")
 
     def __init__(self, kind, shape, n, cells):
-        if kind not in KINDS:
-            raise InvalidShapeForKind(f"unknown tableau kind {kind!r}")
+        _kind(kind)
         if isinstance(cells, dict):
             cells = tuple(sorted(cells.items()))
         object.__setattr__(self, "kind", kind)
@@ -110,10 +115,11 @@ class Tableau(FrozenValue):
     def from_json(data: dict) -> "Tableau":
         try:
             kind = data["kind"]
-            shape = _shape_for_kind(kind, data["shape"])
+            klass, diagram, _ = _kind(kind)
+            shape = klass(data["shape"])
             cells = {}
             for i, row in enumerate(data["rows"], start=1):
-                offset = i if kind != "sst" else 1
+                offset = i if diagram is shifted_cells else 1
                 for k, text in enumerate(row):
                     cells[(i, offset + k)] = CellEntry.from_str(text)
             n = data["n"]
@@ -124,70 +130,71 @@ class Tableau(FrozenValue):
         return Tableau(kind, shape, n, cells)
 
 
-def _shape_for_kind(kind, parts):
-    if kind == "sst":
-        return Partition(parts)
-    return StrictPartition(parts)
+def _kind(kind) -> tuple:
+    """The ``KINDS`` entry of ``kind``; InvalidShapeForKind when it has none."""
+    try:
+        return KINDS[kind]
+    except (KeyError, TypeError):
+        raise InvalidShapeForKind(f"unknown tableau kind {kind!r}") from None
 
 
 def diagram_cells(kind: str, shape) -> list[tuple[int, int]]:
-    if kind == "sst":
-        if not isinstance(shape, Partition):
-            raise InvalidShapeForKind("sst needs a Partition shape")
-        return young_cells(shape)
-    if not isinstance(shape, StrictPartition):
-        raise InvalidShapeForKind(f"{kind} needs a StrictPartition shape")
-    return shifted_cells(shape)
-
-
-def _check_cells_cover(t: Tableau) -> None:
-    want = set(diagram_cells(t.kind, t.shape))
-    got = {c for c, _ in t.cells}
-    if want != got:
-        raise ShapeMismatch(
-            f"cells {sorted(got)} do not match the diagram {sorted(want)}"
-        )
+    klass, diagram, _ = _kind(kind)
+    if not isinstance(shape, klass):
+        raise InvalidShapeForKind(f"{kind} needs a {klass.__name__} shape")
+    return diagram(shape)
 
 
 def validate(t: Tableau) -> Violation | None:
     """None when valid; otherwise the first violated rule in cell order."""
-    _check_cells_cover(t)
+    want = set(diagram_cells(t.kind, t.shape))
     cells = dict(t.cells)
+    if want != cells.keys():
+        raise ShapeMismatch(f"cells {sorted(cells)} do not match the diagram {sorted(want)}")
+    primes_ok = KINDS[t.kind][2]
     for (i, j), e in sorted(cells.items()):
-        if e.value > t.n:
+        if e.value > t.n or (e.primed and not primes_ok):
             return Violation("alphabet", (i, j))
-        if t.kind in ("sst", "shifted") and e.primed:
-            return Violation("alphabet", (i, j))
-        left = cells.get((i, j - 1))
-        up = cells.get((i - 1, j))
-        if t.kind == "sst":
-            if left is not None and e.sort_key < left.sort_key:
-                return Violation("T1", (i, j))
-            if up is not None and e.value <= up.value:
-                return Violation("T2", (i, j))
-        elif t.kind == "shifted":
-            if left is not None and e.sort_key < left.sort_key:
-                return Violation("S1", (i, j))
-            if up is not None and e.sort_key < up.sort_key:
-                return Violation("S2", (i, j))
-            diag = cells.get((i - 1, j - 1))
-            if diag is not None and e.value <= diag.value:
-                return Violation("S3", (i, j))
-        else:
-            if left is not None and e.sort_key < left.sort_key:
-                return Violation("P1", (i, j))
-            if up is not None and e.sort_key < up.sort_key:
-                return Violation("P2", (i, j))
-            if e.primed and any(
-                cells[(i, jj)] == e for jj in range(i, j) if (i, jj) in cells
-            ):
-                return Violation("P3", (i, j))
-            if not e.primed and any(
-                cells.get((ii, j)) == e for ii in range(1, i)
-            ):
-                return Violation("P4", (i, j))
-            if t.kind == "primedP" and e.primed and i == j:
-                return Violation("P5", (i, j))
+        rule = _violation(t.kind, cells, i, j, e)
+        if rule is not None:
+            return Violation(rule, (i, j))
+    return None
+
+
+def _violation(kind: str, cells: dict, i: int, j: int, e: CellEntry) -> str | None:
+    """The first rule that ``e`` in cell (i, j) breaks against the cells to its
+    left and above it, or None.
+
+    P3 and P4 compare ``e`` with its neighbour only: P1 and P2 hold at every
+    earlier cell, so rows and columns weakly increase up to (i, j) and a
+    repeat of ``e`` to the left or above would have to be the neighbour.
+    """
+    left = cells.get((i, j - 1))
+    up = cells.get((i - 1, j))
+    if kind == "sst":
+        if left is not None and e.sort_key < left.sort_key:
+            return "T1"
+        if up is not None and e.value <= up.value:
+            return "T2"
+    elif kind == "shifted":
+        if left is not None and e.sort_key < left.sort_key:
+            return "S1"
+        if up is not None and e.sort_key < up.sort_key:
+            return "S2"
+        diag = cells.get((i - 1, j - 1))
+        if diag is not None and e.value <= diag.value:
+            return "S3"
+    else:
+        if left is not None and e.sort_key < left.sort_key:
+            return "P1"
+        if up is not None and e.sort_key < up.sort_key:
+            return "P2"
+        if e.primed and left == e:
+            return "P3"
+        if not e.primed and up == e:
+            return "P4"
+        if kind == "primedP" and e.primed and i == j:
+            return "P5"
     return None
 
 
@@ -199,47 +206,8 @@ def check(t: Tableau) -> None:
 
 
 def _alphabet(kind: str, n: int) -> list[CellEntry]:
-    if kind in ("sst", "shifted"):
-        return [CellEntry(k) for k in range(1, n + 1)]
-    out = []
-    for k in range(1, n + 1):
-        out.append(CellEntry(k, True))
-        out.append(CellEntry(k))
-    return out
-
-
-def _admissible(kind, cells, i, j, e) -> bool:
-    left = cells.get((i, j - 1))
-    up = cells.get((i - 1, j))
-    if kind == "sst":
-        if left is not None and e.sort_key < left.sort_key:
-            return False
-        if up is not None and e.value <= up.value:
-            return False
-        return True
-    if left is not None and e.sort_key < left.sort_key:
-        return False
-    if up is not None and e.sort_key < up.sort_key:
-        return False
-    if kind == "shifted":
-        diag = cells.get((i - 1, j - 1))
-        return diag is None or e.value > diag.value
-    # primed kinds
-    if kind == "primedP" and e.primed and i == j:
-        return False
-    if e.primed:
-        jj = j - 1
-        while (i, jj) in cells:
-            if cells[(i, jj)] == e:
-                return False
-            jj -= 1
-    else:
-        ii = i - 1
-        while (ii, j) in cells:
-            if cells[(ii, j)] == e:
-                return False
-            ii -= 1
-    return True
+    primes = (True, False) if KINDS[kind][2] else (False,)
+    return [CellEntry(k, primed) for k in range(1, n + 1) for primed in primes]
 
 
 def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
@@ -259,7 +227,7 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
             return
         i, j = order[pos]
         for e in alphabet:
-            if _admissible(kind, cells, i, j, e):
+            if _violation(kind, cells, i, j, e) is None:
                 cells[(i, j)] = e
                 yield from fill(pos + 1)
                 del cells[(i, j)]
@@ -349,8 +317,6 @@ def strip_sum(kind: str, outer: tuple[int, ...], inner: tuple[int, ...]) -> poly
 def sst_count(shape: Partition, n: int) -> int:
     """Hook-content product formula for |T^shape[n]| (independent count oracle)."""
     parts = [p for p in shape.parts if p > 0]
-    from .shapes import conjugate
-
     cols = conjugate(shape).parts
     numerator = denominator = 1
     for i, p in enumerate(parts, start=1):

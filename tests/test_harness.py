@@ -67,6 +67,11 @@ def test_bad_params():
         harness.verify_identity(IdentitySpec("lemma3a", {"m": True, "p": 1, "n": 2}))
     with pytest.raises(harness.BadParams):
         harness.verify_identity(IdentitySpec("lemma3a", {"m": 1, "p": 2, "n": 2}))
+    with pytest.raises(
+        harness.BadParams,
+        match=r"need m >= 0 and 1 <= p < q <= n, got m=-1, p=1, q=2, n=2$",
+    ):
+        harness.verify_identity(IdentitySpec("lemma3b", {"m": -1, "p": 1, "q": 2, "n": 2}))
     with pytest.raises(harness.BadParams):
         # mu longer than n
         harness.verify_identity(

@@ -25,14 +25,18 @@ def test_tracer_hooks_still_wrap():
     # one would otherwise show only under `perfbench/run.py --trace 1`.
     code = (
         "import tracing\n"
-        "from ftok import harness\n"
+        "from ftok import harness, tableaux\n"
+        "from ftok.shapes import StrictPartition\n"
         "rec = tracing.Recorder()\n"
         "tracing.install(rec)\n"
         "for ident in ('cor1_ikeda', 'pathsLemma1', 'pathsLemma2'):\n"
         "    spec = harness.IdentitySpec(ident, {'mu': '1', 'n': 3})\n"
         "    assert harness.verify_identity(spec).passed, ident\n"
+        "for t in tableaux.enumerate_tableaux('primedQ', StrictPartition((2, 1)), 2):\n"
+        "    tableaux.check(t)\n"
         "assert rec.counters['poly.mul.calls'] > 0, dict(rec.counters)\n"
         "assert rec.counters['paths.families.objects'] > 0, dict(rec.counters)\n"
+        "assert rec.counters['tableaux.enumerate.objects'] > 0, dict(rec.counters)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     result = subprocess.run(

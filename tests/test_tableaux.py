@@ -247,3 +247,10 @@ def test_kind_shape_mismatch():
         tableaux.diagram_cells("shifted", Partition((2, 1)))
     with pytest.raises(tableaux.InvalidShapeForKind):
         Tableau("weird", Partition((1,)), 1, {})
+    unknown = r"unknown tableau kind 'weird'"
+    with pytest.raises(tableaux.InvalidShapeForKind, match=unknown):
+        tableaux.diagram_cells("weird", StrictPartition((2, 1)))
+    with pytest.raises(tableaux.InvalidShapeForKind, match=unknown):
+        list(tableaux.enumerate_tableaux("weird", StrictPartition((1,)), 0))
+    with pytest.raises(tableaux.InvalidShapeForKind, match=unknown):
+        from_rows("weird", (1,), 1, [["1"]])
