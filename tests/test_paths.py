@@ -139,6 +139,15 @@ def test_pst_tableau_shorter_than_n():
         paths.tableau_to_paths(short)
 
 
+@pytest.mark.parametrize(
+    "lam,n", [(StrictPartition((5, 3, 1)), 4), (StrictPartition((3, 2, 1)), 2)]
+)
+def test_pst_sum_rejects_shape_length_other_than_n(lam, n):
+    # a shape shorter than n once ran past its parts with an IndexError
+    with pytest.raises(paths.MalformedFamily, match="pst shape length must equal n"):
+        paths.nonintersecting_sum("pst", lam, n)
+
+
 def test_rejects_invalid_tableau():
     bad = Tableau.from_json({"kind": "sst", "shape": [1, 1], "n": 2, "rows": [["1"], ["1"]]})
     with pytest.raises(tableaux.InvalidTableau, match=r"rule T2 violated at \(2, 1\)"):
