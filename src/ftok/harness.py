@@ -197,12 +197,21 @@ def _check_lemma3b(m: int, p: int, q: int, n: int):
 
 
 def _check_lemma4(mu: Partition, n: int):
-    # encoded as polynomials: sum of t^(#SW - #NE) against count * t^|mu|
+    # encoded as polynomials: sum of t^(#SW - #NE) over the compass point
+    # matrices of shape mu + delta against count * t^|mu|.  Row i of a matrix
+    # is fixed by pattern rows i - 1 and i (combin.cpm_row), so both sides are
+    # row transfers over the patterns; combin.enumerate_asm is their oracle.
+    lam = shape_for(mu, n, "delta")
+    width = lam.breadth()
     tvar = poly.variable("t")
-    cpms = map(combin.cpm_from_asm, combin.enumerate_asm(shape_for(mu, n, "delta")))
-    terms = [poly.var_poly(tvar, c.count("SW") - c.count("NE")) for c in cpms]
-    lhs = poly.poly_sum(terms)
-    rhs = poly.const(len(terms)) * poly.var_poly(tvar, mu.weight())
+
+    def compass_weight(i: int, row: tuple, lower: tuple) -> poly.Polynomial:
+        letters = combin.cpm_row(lower, row, width)
+        return poly.var_poly(tvar, letters.count("SW") - letters.count("NE"))
+
+    lhs = combin.gt_row_sum(lam, compass_weight)
+    count = combin.gt_row_sum(lam, lambda i, row, lower: poly.ONE)
+    rhs = count * poly.var_poly(tvar, mu.weight())
     return lhs, rhs
 
 
@@ -380,6 +389,9 @@ def default_suite() -> list[IdentitySpec]:
         specs.append(IdentitySpec("cor1_ikeda", {"mu": mu, "n": 4}))
     for mu in partitions_up_to(1, 5):
         specs.append(IdentitySpec("cor1_ikeda", {"mu": mu, "n": 5}))
+    for n in (4, 5, 6):
+        for mu in partitions_up_to(1, n):
+            specs.append(IdentitySpec("lemma4", {"mu": mu, "n": n}))
     for n in (1, 2, 3):
         for mu in partitions_up_to(2, n):
             specs.append(IdentitySpec("pathsLemma2", {"mu": mu, "n": n}))

@@ -16,6 +16,7 @@ Paths of a family may not share any lattice point.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 from . import poly, tableaux
@@ -77,6 +78,8 @@ def _endpoints(kind: str, shape, n: int, i: int) -> tuple[tuple[int, int], tuple
         mu = shape.padded(n)
         return (i, n - i + 1), (n + 1, mu[i - 1] + n - i + 1)
     lam = tuple(shape.parts)
+    if len(lam) != n:
+        raise MalformedFamily("pst shape length must equal n")
     return (i, 0), (n + 1, lam[i - 1])
 
 
@@ -92,13 +95,11 @@ def _check_grammar(kind: str, path: LatticePath) -> None:
 
 def validate_family(f: PathFamily) -> None:
     """Raises MalformedFamily / IntersectingPaths; returns None when valid."""
-    if f.kind == "pst" and len(tuple(f.shape.parts)) != f.n:
-        raise MalformedFamily("pst shape length must equal n")
+    ends = [_endpoints(f.kind, f.shape, f.n, i) for i in range(1, f.n + 1)]
     if len(f.paths) != f.n:
         raise MalformedFamily(f"expected {f.n} paths, got {len(f.paths)}")
     seen: set[tuple[int, int]] = set()
-    for i, path in enumerate(f.paths, start=1):
-        start, end = _endpoints(f.kind, f.shape, f.n, i)
+    for i, (path, (start, end)) in enumerate(zip(f.paths, ends), start=1):
         if path.start != start:
             raise MalformedFamily(f"path {i} starts at {path.start}, want {start}")
         _check_grammar(f.kind, path)
@@ -224,7 +225,19 @@ def nonintersecting_families(kind: str, shape, n: int) -> Iterator[PathFamily]:
 
 
 def nonintersecting_sum(kind: str, shape, n: int) -> poly.Polynomial:
-    """Lindstrom-Gessel-Viennot oracle: total weight of disjoint families."""
-    return poly.poly_sum(
-        paths_weight(f) for f in nonintersecting_families(kind, shape, n)
-    )
+    """Lindstrom-Gessel-Viennot oracle: total weight of disjoint families.
+
+    Each family is validated, and each distinct free path is weighed once per
+    call however many families hold it.  A family's last path weight goes to
+    :func:`poly.sum_of_products` beside the product of the others, so its last
+    product is added straight into the sum.  ``paths_weight`` of each family
+    is the oracle of this sum.
+    """
+    weigh = functools.cache(functools.partial(_path_weight, kind, n))
+
+    def factors(f: PathFamily) -> tuple[poly.Polynomial, poly.Polynomial]:
+        validate_family(f)
+        *head, last = [weigh(p) for p in f.paths] or [poly.ONE]
+        return poly.product(head), last
+
+    return poly.sum_of_products(map(factors, nonintersecting_families(kind, shape, n)))

@@ -280,6 +280,11 @@ def test_criterion_11_compass_counts(capsys):
                     bad.append(f"count law mu={mu.serialize()} n={n}")
                     break
     bad += _verify_all(_reach_range("lemma4"))
+    bad += _verify_all(
+        IdentitySpec("lemma4", {"mu": mu, "n": n})
+        for n in (6, 7)
+        for mu in harness.partitions_up_to(1, n)
+    )
     if (C_EX.count("SW"), C_EX.count("NE")) != (5, 1):
         bad.append("worked example should give 5 = 1 + 4")
     _finish(capsys, 11, "lemma 4 compass count law", bad)

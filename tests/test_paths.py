@@ -1,6 +1,7 @@
 import pytest
+from test_acceptance import _strict_partitions
 
-from ftok import paths, poly, symfun, tableaux
+from ftok import harness, paths, poly, symfun, tableaux
 from ftok.paths import LatticePath, PathFamily
 from ftok.shapes import Partition, StrictPartition
 from ftok.tableaux import Tableau
@@ -200,3 +201,15 @@ def test_pst_lgv_sum_matches_determinant(lam, n):
     assert paths.nonintersecting_sum("pst", lam, n) == symfun.det_formula(
         "lemma2", lam, n
     )
+
+
+def test_lgv_sum_matches_family_by_family_weights():
+    # the ranges of test_criterion_04_lattice_paths
+    for n in (1, 2, 3):
+        cases = [("sst", mu) for mu in harness.partitions_up_to(8, n)]
+        cases += [("pst", lam) for lam in _strict_partitions(8, n)]
+        for kind, shape in cases:
+            want = poly.poly_sum(
+                paths.paths_weight(f) for f in paths.nonintersecting_families(kind, shape, n)
+            )
+            assert paths.nonintersecting_sum(kind, shape, n) == want, (kind, shape, n)

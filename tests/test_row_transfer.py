@@ -110,3 +110,14 @@ def test_row_weights_multiply_to_object_weights(mu, n):
         assert combin.weight_gtp(g) == tableau == combin.weight_cpm(c, general)
         letters = [combin.cpm_row(rows[i - 1], rows[i], width) for i in range(1, n + 1)]
         assert tuple(letters) == c.entries
+
+
+@pytest.mark.parametrize("mu,n", _GT_CASES, ids=_id)
+def test_lemma4_row_transfer_matches_asm_enumeration(mu, n):
+    """lemma4's sides against the sum of t^(#SW - #NE) over the compass point
+    matrices of the enumerated ASMs and the number of ASMs."""
+    tvar = poly.variable("t")
+    cpms = [combin.cpm_from_asm(a) for a in combin.enumerate_asm(shape_for(mu, n, "delta"))]
+    lhs, rhs = harness._check_lemma4(mu, n)
+    assert lhs == poly.poly_sum(poly.var_poly(tvar, c.count("SW") - c.count("NE")) for c in cpms)
+    assert rhs == poly.const(len(cpms)) * poly.var_poly(tvar, mu.weight())
