@@ -1,9 +1,11 @@
 """Identity verification: specs, reports, the serial suite runner, and the
 on-disk cache of ``sf`` tableau sums.
 
-Every check computes both sides through the owning modules and compares the
-canonical form of lhs - rhs against zero, so term order can never produce a
-false failure.  Parameters outside an identity's domain raise ``BadParams``.
+Every check computes both sides through the owning modules, and a report
+passes when the two sides have the same terms, which is exactly when their
+canonical forms are equal, so term order can never produce a false failure;
+lhs - rhs is built only to render a failure's diff.  Parameters outside an
+identity's domain raise ``BadParams``.
 """
 
 from __future__ import annotations
@@ -283,13 +285,22 @@ def _check_cor6(mu: Partition, n: int):
 
 
 def _check_paths_lemma1(mu: Partition, n: int):
-    lhs = paths.nonintersecting_sum("sst", mu, n)
+    """The ``sst`` lattice-path sum against the lemma 1 determinant.
+
+    The lhs is ``paths.row_sweep_sum``, which builds no family;
+    ``paths.nonintersecting_sum``, family by family, is its test oracle.
+    """
+    lhs = paths.row_sweep_sum("sst", mu, n)
     rhs = symfun.det_formula("lemma1", mu, n)
     return lhs, rhs
 
 
 def _check_paths_lemma2(lam: StrictPartition, n: int):
-    lhs = paths.nonintersecting_sum("pst", lam, n)
+    """The ``pst`` lattice-path sum against the lemma 2 determinant.
+
+    The lhs is ``paths.row_sweep_sum``, as in :func:`_check_paths_lemma1`.
+    """
+    lhs = paths.row_sweep_sum("pst", lam, n)
     rhs = symfun.det_formula("lemma2", lam, n)
     return lhs, rhs
 
@@ -322,17 +333,16 @@ def verify_identity(spec: IdentitySpec) -> IdentityReport:
     start = time.perf_counter()
     check, names = _CHECKS[spec.id]
     lhs, rhs = check(*_resolve(spec.params, names))
-    diff_text = poly.canonical(lhs - rhs)
-    passed = diff_text == "0"
+    # every constructor drops zero coefficients and a packed monomial decodes
+    # uniquely, so equal term maps are exactly equal canonical forms
+    passed = lhs == rhs
     lhs_text = poly.canonical(lhs)
-    # canonical depends only on the terms, and both sides have the same terms
-    # exactly when their difference is 0.
     return IdentityReport(
         spec=spec,
         lhs=lhs_text,
         rhs=lhs_text if passed else poly.canonical(rhs),
         passed=passed,
-        diff=diff_text,
+        diff="0" if passed else poly.canonical(lhs - rhs),
         elapsed=time.perf_counter() - start,
     )
 
@@ -395,6 +405,10 @@ def default_suite() -> list[IdentitySpec]:
     for n in (1, 2, 3):
         for mu in partitions_up_to(2, n):
             specs.append(IdentitySpec("pathsLemma2", {"mu": mu, "n": n}))
+    for ident in ("pathsLemma1", "pathsLemma2"):
+        for n in (4, 5):
+            for mu in partitions_up_to(1, n):
+                specs.append(IdentitySpec(ident, {"mu": mu, "n": n}))
     return specs
 
 

@@ -74,6 +74,8 @@ class PathFamily(FrozenValue):
 
 def _endpoints(kind: str, shape, n: int, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Start and end of path i (1-based)."""
+    if kind not in ("sst", "pst"):
+        raise MalformedFamily(f"unknown family kind {kind!r}")
     if kind == "sst":
         mu = shape.padded(n)
         return (i, n - i + 1), (n + 1, mu[i - 1] + n - i + 1)
@@ -154,24 +156,25 @@ def paths_to_tableau(f: PathFamily) -> Tableau:
     return t
 
 
+def _edge_weight(kind: str, n: int, step: str, r: int, c: int) -> poly.Polynomial:
+    """The weight of a ``step`` edge ending at (r, c)."""
+    if step == "V":
+        return poly.ONE
+    if step == "D":
+        return poly.y(r) - poly.a(c - 1)
+    if kind == "sst":
+        # path i starts at (i, n - i + 1) and only moves right or down, so
+        # the a index r + c - n - 1 of an H edge ending at (r, c) is >= 1
+        return poly.x(r) + poly.a(r + c - n - 1)
+    if c == 1:
+        # a pst path starts in column 0 with an H step: its first H edge
+        # is the only one ending in column 1
+        return poly.x(r)
+    return poly.x(r) + poly.a(c - 1)
+
+
 def _path_weight(kind: str, n: int, path: LatticePath) -> poly.Polynomial:
-    factors = []
-    for s, r, c in path.walk():
-        if s == "D":
-            factors.append(poly.y(r) - poly.a(c - 1))
-        elif s == "V":
-            continue
-        elif kind == "sst":
-            # path i starts at (i, n - i + 1) and only moves right or down, so
-            # the a index r + c - n - 1 of an H edge ending at (r, c) is >= 1
-            factors.append(poly.x(r) + poly.a(r + c - n - 1))
-        elif c == 1:
-            # a pst path starts in column 0 with an H step: its first H edge
-            # is the only one ending in column 1
-            factors.append(poly.x(r))
-        else:
-            factors.append(poly.x(r) + poly.a(c - 1))
-    return poly.product(factors)
+    return poly.product(_edge_weight(kind, n, s, r, c) for s, r, c in path.walk())
 
 
 def paths_weight(f: PathFamily) -> poly.Polynomial:
@@ -225,19 +228,54 @@ def nonintersecting_families(kind: str, shape, n: int) -> Iterator[PathFamily]:
 
 
 def nonintersecting_sum(kind: str, shape, n: int) -> poly.Polynomial:
-    """Lindstrom-Gessel-Viennot oracle: total weight of disjoint families.
+    """Lindstrom-Gessel-Viennot oracle: ``paths_weight`` summed family by family."""
+    return poly.poly_sum(paths_weight(f) for f in nonintersecting_families(kind, shape, n))
 
-    Each family is validated, and each distinct free path is weighed once per
-    call however many families hold it.  A family's last path weight goes to
-    :func:`poly.sum_of_products` beside the product of the others, so its last
-    product is added straight into the sum.  ``paths_weight`` of each family
-    is the oracle of this sum.
+
+def row_sweep_sum(kind: str, shape, n: int) -> poly.Polynomial:
+    """The total weight of the non-intersecting families, summed row by row.
+
+    Going down lattice rows 1..n, the state is the tuple of columns where the
+    started paths enter the next row, mapped to the summed weight of their
+    edges so far; path r joins in row r at its start.  In row r a path runs H
+    steps from its entry column to an exit column strictly left of the entry
+    column of the path before it, then leaves by V, or by D (``pst`` only),
+    into row r + 1.  A new ``pst`` path takes at least one H step, and in row
+    n every path leaves by V onto its end column.  V and D edges hold no
+    lattice point between their ends, so these rules are exactly the step
+    grammar and point-disjointness, and each family is counted once, as the
+    product of its edge weights.  Within a row the paths move one at a time
+    from left to right (path r first), so each reads the old entry column of
+    the path to its right and the new one of the path to its left.
+    :func:`nonintersecting_sum` is its oracle.
     """
-    weigh = functools.cache(functools.partial(_path_weight, kind, n))
+    ends = [_endpoints(kind, shape, n, i) for i in range(1, n + 1)]
+    diagonal = kind == "pst"
 
-    def factors(f: PathFamily) -> tuple[poly.Polynomial, poly.Polynomial]:
-        validate_family(f)
-        *head, last = [weigh(p) for p in f.paths] or [poly.ONE]
-        return poly.product(head), last
+    @functools.cache
+    def leg(r: int, e: int, x: int, f: int) -> poly.Polynomial:
+        # H steps along row r from column e to x, then V (f == x) or D (f == x + 1)
+        steps = [("H", r, c) for c in range(e + 1, x + 1)]
+        if f > x:
+            steps.append(("D", r + 1, f))
+        return poly.product(_edge_weight(kind, n, *step) for step in steps)
 
-    return poly.sum_of_products(map(factors, nonintersecting_families(kind, shape, n)))
+    sums = {(): poly.ONE}
+    for r in range(1, n + 1):
+        (_, start), _ = ends[r - 1]
+        sums = {cols + (start,): p for cols, p in sums.items()}
+        for j in reversed(range(r)):
+            end = ends[j][1][1]
+            pairs: dict[tuple[int, ...], list] = {}
+            for cols, p in sums.items():
+                e = cols[j]
+                lo = e + (diagonal and j == r - 1)  # a new pst path starts with H
+                hi = cols[j - 1] - 1 if j else end
+                left = cols[j + 1] if j + 1 < r else -1
+                for x in range(max(lo, end) if r == n else lo, min(hi, end) + 1):
+                    for f in (x, x + 1) if diagonal else (x,):
+                        if left < f <= end:
+                            key = cols[:j] + (f,) + cols[j + 1:]
+                            pairs.setdefault(key, []).append((p, leg(r, e, x, f)))
+            sums = {key: poly.sum_of_products(ps) for key, ps in pairs.items()}
+    return sums.get(tuple(end for _, (_, end) in ends), poly.ZERO)

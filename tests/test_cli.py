@@ -180,6 +180,28 @@ def test_verify_exit_codes(capsys):
     assert blob["pass"] is True and blob["diff"] == "0"
 
 
+def test_unequal_sides_fail_with_their_difference(capsys, monkeypatch):
+    from ftok import harness, poly
+    from ftok.harness import IdentitySpec
+
+    lhs = poly.x(1) + poly.x(2)
+    rhs = poly.x(1) + poly.const(2) * poly.y(1)
+    monkeypatch.setitem(harness._CHECKS, "lemma1", (lambda mu, n: (lhs, rhs), ("mu", "n")))
+    report = harness.verify_identity(IdentitySpec("lemma1", {"mu": "1", "n": 2}))
+    assert report.passed is False
+    assert report.lhs == poly.canonical(lhs)
+    assert report.rhs == poly.canonical(rhs)
+    assert report.diff == poly.canonical(lhs - rhs) == "x2 - 2*y1"
+    code, out, _ = run(capsys, "verify", "--id", "lemma1", "--mu", "1", "--n", "2")
+    assert code == 1
+    assert out.startswith("FAIL lemma1[mu=1, n=2] (")
+    assert out.endswith("s) diff=x2 - 2*y1\n")
+    code, out, _ = run(capsys, "verify", "--id", "lemma1", "--mu", "1", "--n", "2", "--json")
+    assert code == 1
+    blob = json.loads(out)
+    assert (blob["pass"], blob["rhs"], blob["diff"]) == (False, "x1 + 2*y1", "x2 - 2*y1")
+
+
 def test_verify_exponent_past_the_field_exits_2(capsys):
     # lemma4 at mu = (32768) builds t**32768, one past the 16-bit field
     code, out, err = run(capsys, "verify", "--id", "lemma4", "--mu", "32768", "--n", "1")

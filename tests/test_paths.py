@@ -3,7 +3,7 @@ from test_acceptance import _strict_partitions
 
 from ftok import harness, paths, poly, symfun, tableaux
 from ftok.paths import LatticePath, PathFamily
-from ftok.shapes import Partition, StrictPartition
+from ftok.shapes import Partition, StrictPartition, shape_for
 from ftok.tableaux import Tableau
 
 T_EX = Tableau.from_json(
@@ -86,6 +86,8 @@ def test_malformed_families():
         LatticePath((1, 1), "XV").points()
     with pytest.raises(paths.MalformedFamily, match="unknown family kind 'gtp'"):
         PathFamily("gtp", 1, Partition((0,)), [LatticePath((1, 1), "V")])
+    with pytest.raises(paths.MalformedFamily, match="unknown family kind 'gtp'"):
+        paths.row_sweep_sum("gtp", Partition((0,)), 1)
     rejected = [
         # a step letter outside H, V, D
         (PathFamily("sst", 1, Partition((0,)), [LatticePath((1, 1), "XV")]), "step"),
@@ -147,6 +149,8 @@ def test_pst_sum_rejects_shape_length_other_than_n(lam, n):
     # a shape shorter than n once ran past its parts with an IndexError
     with pytest.raises(paths.MalformedFamily, match="pst shape length must equal n"):
         paths.nonintersecting_sum("pst", lam, n)
+    with pytest.raises(paths.MalformedFamily, match="pst shape length must equal n"):
+        paths.row_sweep_sum("pst", lam, n)
 
 
 def test_rejects_invalid_tableau():
@@ -204,12 +208,19 @@ def test_pst_lgv_sum_matches_determinant(lam, n):
 
 
 def test_lgv_sum_matches_family_by_family_weights():
-    # the ranges of test_criterion_04_lattice_paths
+    # the row sweep against the sum over the families: the ranges of
+    # test_criterion_04_lattice_paths, then n = 4 with |mu| <= 2
+    cases = []
     for n in (1, 2, 3):
-        cases = [("sst", mu) for mu in harness.partitions_up_to(8, n)]
-        cases += [("pst", lam) for lam in _strict_partitions(8, n)]
-        for kind, shape in cases:
-            want = poly.poly_sum(
-                paths.paths_weight(f) for f in paths.nonintersecting_families(kind, shape, n)
-            )
-            assert paths.nonintersecting_sum(kind, shape, n) == want, (kind, shape, n)
+        cases += [("sst", mu, n) for mu in harness.partitions_up_to(8, n)]
+        cases += [("pst", lam, n) for lam in _strict_partitions(8, n)]
+    for mu in harness.partitions_up_to(2, 4):
+        cases += [("sst", mu, 4), ("pst", shape_for(mu, 4, "delta"), 4)]
+    for kind, shape, n in cases:
+        want = paths.nonintersecting_sum(kind, shape, n)
+        assert paths.row_sweep_sum(kind, shape, n) == want, (kind, shape, n)
+
+
+def test_row_sweep_matches_families_at_n5():
+    lam = StrictPartition((5, 4, 3, 2, 1))
+    assert paths.row_sweep_sum("pst", lam, 5) == paths.nonintersecting_sum("pst", lam, 5)

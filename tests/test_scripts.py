@@ -22,16 +22,20 @@ def test_show_bijection_example_runs():
 
 def test_tracer_hooks_still_wrap():
     # perfbench/tracing.py wraps ftok functions by name; a renamed or removed
-    # one would otherwise show only under `perfbench/run.py --trace 1`.
+    # one would otherwise show only under `perfbench/run.py --trace 1`.  The
+    # path identities sum by the row sweep, so only the oracle
+    # nonintersecting_sum reaches the wrapped family enumerator.
     code = (
         "import tracing\n"
-        "from ftok import harness, tableaux\n"
+        "from ftok import harness, paths, tableaux\n"
         "from ftok.shapes import StrictPartition\n"
         "rec = tracing.Recorder()\n"
         "tracing.install(rec)\n"
         "for ident in ('cor1_ikeda', 'pathsLemma1', 'pathsLemma2'):\n"
         "    spec = harness.IdentitySpec(ident, {'mu': '1', 'n': 3})\n"
         "    assert harness.verify_identity(spec).passed, ident\n"
+        "assert rec.counters['paths.families.objects'] == 0, dict(rec.counters)\n"
+        "paths.nonintersecting_sum('pst', StrictPartition((2, 1)), 2)\n"
         "for t in tableaux.enumerate_tableaux('primedQ', StrictPartition((2, 1)), 2):\n"
         "    tableaux.check(t)\n"
         "assert rec.counters['poly.mul.calls'] > 0, dict(rec.counters)\n"
