@@ -2,7 +2,8 @@
 
 Laurent-polynomial arithmetic, tableau and lattice-path enumeration, the
 Gelfand-Tsetlin / ASM / compass-point bijection web, six-vertex partition
-functions, and a verification harness for the identities tying them together.
+functions, a verification harness for the identities tying them together, and
+the on-disk cache of ``ftok sf`` tableau sums.
 """
 
 __version__ = "0.1.0"
@@ -16,4 +17,5 @@ __all__ = [
     "combin",
     "sixvertex",
     "harness",
+    "sfcache",
 ]

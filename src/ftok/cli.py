@@ -2,17 +2,20 @@
 
 Subcommands: enumerate, sf, bijection, zfunc, verify, suite.  Polynomial
 output uses the canonical text form; object output uses the JSON forms of the
-owning modules.  ``sf`` tableau sums are cached as canonical text under the
-FTOK_CACHE_DIR environment variable (default .ftok-cache/).  Every subcommand
-exits 2 with ``error: ...`` on stderr and nothing on stdout when its input is
-outside the domain (a bad shape, parameter, suite config or bijection input
-file); ``verify`` and ``suite`` exit 0 on pass and 1 on a failed identity.
-``suite --json`` prints one report per line.
+owning modules.  ``sf`` tableau sums are cached by ``sfcache`` as canonical
+text, one file per request, under the FTOK_CACHE_DIR environment variable
+(default .ftok-cache/).  Every subcommand exits 2 with ``error: ...`` on
+stderr and nothing on stdout when its input is outside the domain (a bad
+shape, parameter, suite config or bijection input file); ``verify`` and
+``suite`` exit 0 on pass and 1 on a failed identity.  ``suite --json`` prints
+one report per line.
 
 Each subcommand imports only the modules it runs, inside its ``_cmd_*``
 function, so a process loads (and, without cached bytecode, compiles) no more
-of ftok than its request needs.  An unknown ``verify --id`` or ``zfunc
---variant`` is rejected by ``harness`` or ``sixvertex``, which hold the lists.
+of ftok than its request needs: an ``sf`` cache hit reads one file and loads
+no polynomial module, and no ``sf`` request loads ``harness``.  An unknown
+``verify --id`` or ``zfunc --variant`` is rejected by ``harness`` or
+``sixvertex``, which hold the lists.
 """
 
 from __future__ import annotations
@@ -76,9 +79,9 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sf(args) -> int:
     shape = _parse_shape(args.kind, args.shape)
     if args.kind in _SF_KINDS:
-        from . import harness
+        from . import sfcache
 
-        text = harness.cached_tableau_sum(_SF_KINDS[args.kind], shape, args.n)
+        text = sfcache.cached_tableau_sum(_SF_KINDS[args.kind], shape, args.n)
     else:
         from . import poly, symfun
 

@@ -1,5 +1,4 @@
-"""Identity verification: specs, reports, the serial suite runner, and the
-on-disk cache of ``sf`` tableau sums.
+"""Identity verification: specs, reports and the serial suite runner.
 
 Every check computes both sides through the owning modules, and a report
 passes when the two sides have the same terms, which is exactly when their
@@ -11,7 +10,6 @@ identity's domain raise ``BadParams``.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from . import combin, paths, poly, sixvertex, symfun
@@ -27,7 +25,10 @@ from .shapes import (
 )
 from .symfun import ShiftedAlphabet, q_poly, x_slot, y_slot
 
-CACHE_VERSION = "2"
+# The sf cache lives in sfcache.  These two names stay here because
+# perfbench/tracing.py's install wraps harness.cache_get and harness.cache_put
+# by name; tests/test_scripts.py::test_tracer_hooks_still_wrap runs it.
+from .sfcache import cache_get, cache_put  # noqa: F401
 
 
 class BadParams(ValueError):
@@ -437,75 +438,3 @@ def load_suite_config(path: str) -> list[IdentitySpec]:
         params = {k: v for k, v in entry.items() if k != "id"}
         specs.append(IdentitySpec(entry["id"], params))
     return specs
-
-
-# -- cache --------------------------------------------------------------
-
-def cache_dir() -> str:
-    return os.environ.get("FTOK_CACHE_DIR", ".ftok-cache")
-
-
-def _cache_path(request: dict) -> str:
-    import hashlib  # imported here and in cache_put: only cache requests load it and tempfile
-
-    blob = json.dumps(request, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return os.path.join(cache_dir(), digest + ".json")
-
-
-def cache_get(request: dict):
-    """The stored entry for ``request``, or None when there is no usable one."""
-    path = _cache_path(request)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-    except (OSError, ValueError):  # ValueError: invalid JSON or UTF-8
-        return None
-    if (
-        not isinstance(entry, dict)
-        or entry.get("version") != CACHE_VERSION
-        or entry.get("request") != request
-        or not isinstance(entry.get("canonical_polynomial"), str)
-    ):
-        return None
-    return entry
-
-
-def cache_put(request: dict, canonical_polynomial: str) -> dict:
-    import tempfile
-
-    entry = {
-        "request": request,
-        "canonical_polynomial": canonical_polynomial,
-        "version": CACHE_VERSION,
-    }
-    path = _cache_path(request)
-    tmp = None
-    try:
-        os.makedirs(cache_dir(), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)  # atomic on POSIX
-    except OSError:
-        pass  # an unusable cache skips the write, as a failed read is a miss
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-    return entry
-
-
-def cached_tableau_sum(kind: str, shape, n: int) -> str:
-    """Canonical text of ``symfun.tableau_sum(kind, shape, n)``, via the cache."""
-    request = {
-        "op": "tableau_sum",
-        "kind": kind,
-        "shape": list(shape.parts),
-        "n": n,
-    }
-    hit = cache_get(request)
-    if hit is not None:
-        return hit["canonical_polynomial"]
-    text = poly.canonical(symfun.tableau_sum(kind, shape, n))
-    cache_put(request, text)
-    return text

@@ -1,5 +1,4 @@
 import json
-import os
 from itertools import combinations
 
 import pytest
@@ -206,58 +205,3 @@ def test_load_suite_config(tmp_path):
         harness.load_suite_config(str(path))
     with pytest.raises(harness.BadConfig):
         harness.load_suite_config(str(tmp_path / "missing.json"))
-
-
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("FTOK_CACHE_DIR", str(tmp_path / "cache"))
-    request = {"op": "tableau_sum", "kind": "schur", "shape": [1], "n": 2}
-    assert harness.cache_get(request) is None
-    entry = harness.cache_put(request, "x1 + x2")
-    hit = harness.cache_get(request)
-    assert hit == entry
-    assert hit["canonical_polynomial"] == "x1 + x2"
-    assert hit["version"] == harness.CACHE_VERSION
-    assert hit["request"] == request
-    # no stray temp files left behind
-    names = os.listdir(tmp_path / "cache")
-    assert len(names) == 1 and names[0].endswith(".json")
-
-
-def test_cache_rejects_stale_entries(tmp_path, monkeypatch):
-    monkeypatch.setenv("FTOK_CACHE_DIR", str(tmp_path))
-    request = {"op": "tableau_sum", "kind": "schur", "shape": [1], "n": 1}
-    entry = harness.cache_put(request, "x1")
-    path = harness._cache_path(request)
-    stale = [
-        "{not json",
-        b"\xff\xfe",
-        json.dumps([entry]),
-        json.dumps("x1"),
-        json.dumps(dict(entry, version="1")),
-        json.dumps(dict(entry, request=dict(request, n=2))),
-        json.dumps(dict(entry, canonical_polynomial=None)),
-        json.dumps(dict(entry, canonical_polynomial=["x1"])),
-    ]
-    for blob in stale:
-        mode = "wb" if isinstance(blob, bytes) else "w"
-        with open(path, mode) as fh:
-            fh.write(blob)
-        assert harness.cache_get(request) is None, blob
-        # a miss recomputes and overwrites the bad entry
-        assert harness.cached_tableau_sum("schur", Partition((1,)), 1) == "x1"
-        assert harness.cache_get(request)["canonical_polynomial"] == "x1"
-
-
-def test_cached_tableau_sum(tmp_path, monkeypatch):
-    monkeypatch.setenv("FTOK_CACHE_DIR", str(tmp_path))
-    text = harness.cached_tableau_sum("factorialSchur", Partition((1,)), 2)
-    assert text == "x1 + x2 + a1 + a2"
-    # a hit returns the stored text as it is
-    request = {"op": "tableau_sum", "kind": "factorialSchur", "shape": [1], "n": 2}
-    harness.cache_put(request, "stored text")
-    assert harness.cached_tableau_sum("factorialSchur", Partition((1,)), 2) == "stored text"
-
-
-def test_default_cache_dir(monkeypatch):
-    monkeypatch.delenv("FTOK_CACHE_DIR", raising=False)
-    assert harness.cache_dir() == ".ftok-cache"
