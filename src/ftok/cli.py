@@ -15,7 +15,7 @@ function, so a process loads (and, without cached bytecode, compiles) no more
 of ftok than its request needs: an ``sf`` cache hit reads one file and loads
 no polynomial module, and no ``sf`` request loads ``harness``.  An unknown
 ``verify --id`` or ``zfunc --variant`` is rejected by ``harness`` or
-``sixvertex``, which hold the lists.
+``combin``, which hold the lists.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ matrices, and the weight functions tying them to shifted tableaux, row by row;
 
 GT pattern rows are stored bottom-up: ``rows[0]`` is the single bottom entry
 and ``rows[n-1]`` is the top row (the shape).  ASM rows run top-down, so ASM
-row i pairs with pattern rows i and i-1.
+row i pairs with pattern rows i and i-1.  ``cpm_row`` is the one rule for row
+i of the ice: ``asm_from_gtp`` and ``cpm_from_asm`` read every row through it,
+and ``asm_from_cpm`` maps its letters to ASM entries.  ``VARIANTS`` lists the
+Boltzmann weight tables that ``BoltzmannTable`` accepts.
 """
 
 from __future__ import annotations
@@ -194,23 +197,7 @@ def shifted_from_gtp(g: GTPattern) -> Tableau:
 
 def asm_from_gtp(g: GTPattern) -> ASM:
     validate_gtp(g)
-    n = g.n()
-    m = g.rows[-1][0]
-    entries = []
-    for i in range(1, n + 1):
-        cur = set(g.rows[i - 1])
-        prev = set(g.rows[i - 2]) if i > 1 else set()
-        cur.discard(0)
-        prev.discard(0)
-        row = [0] * m
-        for j in cur - prev:
-            row[j - 1] = 1
-        for j in prev - cur:
-            row[j - 1] = -1
-        entries.append(row)
-    a = ASM(entries, g.top())
-    validate_asm(a)
-    return a
+    return asm_from_cpm(CPM(_ice_rows(g), g.top()))
 
 
 def gtp_from_asm(a: ASM) -> GTPattern:
@@ -254,17 +241,15 @@ def cpm_row(above, below, width: int) -> tuple[str, ...]:
     return tuple(reversed(letters))
 
 
+def _ice_rows(g: GTPattern) -> list[tuple[str, ...]]:
+    """The compass rows of a valid pattern's ice: row i is ``cpm_row`` of
+    pattern rows i - 1 and i, as wide as the top row's largest entry."""
+    width = g.rows[-1][0]
+    return [cpm_row(above, below, width) for above, below in zip(((),) + g.rows, g.rows)]
+
+
 def cpm_from_asm(a: ASM) -> CPM:
-    validate_asm(a)
-    _, m = a.dims()
-    entries = []
-    above: set[int] = set()
-    for row in a.entries:
-        # partial column sums are 0 or 1, so a nonzero entry flips its column
-        below = above ^ {j for j, v in enumerate(row, start=1) if v}
-        entries.append(cpm_row(above, below, m))
-        above = below
-    return CPM(entries, a.shape)
+    return CPM(_ice_rows(gtp_from_asm(a)), a.shape)
 
 
 def asm_from_cpm(c: CPM) -> ASM:
@@ -277,10 +262,15 @@ def asm_from_cpm(c: CPM) -> ASM:
 
 # -- weights ------------------------------------------------------------
 
+VARIANTS = ("general", "bmn", "lascoux")
+
+
 class BoltzmannTable(FrozenValue):
-    __slots__ = ("variant",)  # general, bmn, lascoux
+    __slots__ = ("variant",)  # one of VARIANTS
 
     def __init__(self, variant: str):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; known: {', '.join(VARIANTS)}")
         object.__setattr__(self, "variant", variant)
 
     def weight_of(self, letter: str, i: int, j: int) -> poly.Polynomial:
@@ -304,14 +294,12 @@ class BoltzmannTable(FrozenValue):
             if letter == "SW":
                 return poly.z(i) + poly.alpha(j)
             return poly.ONE
-        if self.variant == "lascoux":
-            ainv = poly.var_poly(poly.variable("a", j), -1)
-            if letter == "NS":
-                return -(poly.x(i) * ainv)
-            if letter == "SW":
-                return -(poly.x(i) * ainv + poly.ONE)
-            return poly.ONE
-        raise ValueError(f"unknown variant {self.variant!r}")
+        ainv = poly.var_poly(poly.variable("a", j), -1)  # lascoux
+        if letter == "NS":
+            return -(poly.x(i) * ainv)
+        if letter == "SW":
+            return -(poly.x(i) * ainv + poly.ONE)
+        return poly.ONE
 
 
 def cpm_row_weight(letters, i: int, table: BoltzmannTable) -> poly.Polynomial:

@@ -10,22 +10,13 @@ from __future__ import annotations
 from . import combin, poly
 from .shapes import Partition, shape_for
 
-VARIANTS = ("general", "bmn", "lascoux")
-
-
-def boltzmann_table(variant: str) -> combin.BoltzmannTable:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; known: {', '.join(VARIANTS)}")
-    return combin.BoltzmannTable(variant)
-
-
 def partition_function(mu: Partition, n: int, variant: str) -> poly.Polynomial:
     """Sum of configuration weights over the boundary shape mu + delta.
 
     A configuration's row i is fixed by its Gelfand-Tsetlin rows i - 1 and i,
     so this is ``combin.gt_row_sum`` over the rows' ice weights.
     """
-    table = boltzmann_table(variant)
+    table = combin.BoltzmannTable(variant)
     lam = shape_for(mu, n, "delta")
     width = lam.breadth()
 

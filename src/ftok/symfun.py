@@ -4,7 +4,10 @@
 ring map that specialises it (``a := 0`` for the plain kinds, ``y := x`` for
 Ikeda's factorial Q-function), applied to each strip of the row transfer.
 The one-row building block is ``q_poly`` (sum over slot multisets of a
-:class:`ShiftedAlphabet`); ``h_poly`` is ``q_poly`` on the staircase alphabet.
+:class:`ShiftedAlphabet`).  ``shifted_alphabet(k, q, n)`` builds the one family
+of alphabets A(k, q) that the paper uses: the lemma 2 entries read A(k, k + 1),
+lemma 3 relates neighbouring members, and ``h_poly`` is ``q_poly`` on
+A(k, n + 1).
 The two Jacobi-Trudi style determinants and the identity right-hand sides, a
 deformed ``vandermonde`` times a factorial Schur function, sit on top of them.
 """
@@ -63,19 +66,19 @@ class ShiftedAlphabet(FrozenValue):
         object.__setattr__(self, "slots", tuple(slots))
 
 
-def interleaved_alphabet(k: int, n: int) -> ShiftedAlphabet:
-    """x_k < y_{k+1} < x_{k+1} < ... < y_n < x_n, all offsets 0."""
-    slots = [x_slot(k)]
-    for j in range(k + 1, n + 1):
-        slots.append(y_slot(j))
-        slots.append(x_slot(j))
+@functools.cache  # a determinant reads one alphabet per row, n times
+def shifted_alphabet(k: int, q: int, n: int) -> ShiftedAlphabet:
+    """A(k, q): x_k, sh x_{k+1}, ..., sh^(q-1-k) x_{q-1}, then
+    y_q < x_q < ... < y_n < x_n, each shifted q - 1 - k times.
+
+    q = k + 1 is the interleaved alphabet of the lemma 2 entries and q = n + 1
+    the staircase alphabet of ``h_poly``; lemma 3 relates A(k, q), A(k + 1, q + 1)
+    and A(k, q + 1).
+    """
+    slots = [x_slot(r, r - k) for r in range(k, q)]
+    for j in range(q, n + 1):
+        slots += [y_slot(j, q - 1 - k), x_slot(j, q - 1 - k)]
     return ShiftedAlphabet(slots)
-
-
-@functools.cache  # h_poly builds one per determinant entry
-def staircase_alphabet(k: int, n: int) -> ShiftedAlphabet:
-    """x_k, sh x_{k+1}, sh x_{k+2}, ...: offset j - k on slot x_j."""
-    return ShiftedAlphabet(x_slot(j, j - k) for j in range(k, n + 1))
 
 
 def q_poly(alphabet: ShiftedAlphabet, m: int) -> poly.Polynomial:
@@ -108,7 +111,7 @@ def q_poly(alphabet: ShiftedAlphabet, m: int) -> poly.Polynomial:
 
 def h_poly(m: int, k: int, n: int) -> poly.Polynomial:
     """Sum over k <= i_1 <= ... <= i_m <= n of prod (x_{i_l} + a_{i_l - k + l})."""
-    return q_poly(staircase_alphabet(k, n), m)
+    return q_poly(shifted_alphabet(k, n + 1, n), m)
 
 
 @functools.cache
@@ -158,8 +161,9 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
     """The two determinant expressions for the factorial functions.
 
     lemma1: entry (k, l) is h_{mu_l - l + k} over x_k..x_n.
-    lemma2: entry (k, l) is x_k * q_{lambda_l - 1} over the interleaved
-    alphabet starting at x_k; needs a strict shape of exactly n positive parts.
+    lemma2: entry (k, l) is x_k * q_{lambda_l - 1} over A(k, k + 1), the
+    ``shifted_alphabet`` x_k < y_{k+1} < x_{k+1} < ... < y_n < x_n; needs a
+    strict shape of exactly n positive parts.
     """
     if kind == "lemma1":
         if not isinstance(shape, Partition):
@@ -178,7 +182,7 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
             raise InvalidShapeForKind(f"lemma2 needs exactly {n} positive parts, got {lam}")
         matrix = [
             [
-                poly.x(k + 1) * q_poly(interleaved_alphabet(k + 1, n), lam[ell] - 1)
+                poly.x(k + 1) * q_poly(shifted_alphabet(k + 1, k + 2, n), lam[ell] - 1)
                 for ell in range(n)
             ]
             for k in range(n)

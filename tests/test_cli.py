@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftok import cli, combin, sixvertex
+from ftok import cli, combin
 from ftok.shapes import StrictPartition
 from ftok.tableaux import Tableau
 from test_harness import identity_params
@@ -426,7 +426,7 @@ def argvs(draw):
             argv.append(f"--n={n}")
         return argv + draw(st.sampled_from([[], ["--count-only"], ["--json"]])), None
     if command == "zfunc":
-        variant = draw(st.sampled_from(sixvertex.VARIANTS))
+        variant = draw(st.sampled_from(combin.VARIANTS))
         return ["zfunc", "--variant", variant, f"--mu={shape}", f"--n={n}"], None
     if command == "bijection":
         source = draw(st.sampled_from(["shifted", "gtp", "asm"]))

@@ -64,7 +64,9 @@ def test_bad_params():
             harness.verify_identity(IdentitySpec("lemma1", {"mu": "1", "n": n}))
     with pytest.raises(harness.BadParams):
         harness.verify_identity(IdentitySpec("lemma3a", {"m": True, "p": 1, "n": 2}))
-    with pytest.raises(harness.BadParams):
+    with pytest.raises(
+        harness.BadParams, match=r"need m >= 0 and 1 <= p < n, got m=1, p=2, n=2$"
+    ):
         harness.verify_identity(IdentitySpec("lemma3a", {"m": 1, "p": 2, "n": 2}))
     with pytest.raises(
         harness.BadParams,

@@ -85,7 +85,7 @@ def test_gt_row_sum_matches_enumeration(mu, n):
     patterns = list(combin.enumerate_gtp(lam))
     want = poly.poly_sum(combin.weight_gtp(g) for g in patterns)
     assert combin.gt_row_sum(lam, combin.gtp_row_weight) == want
-    for variant in sixvertex.VARIANTS:
+    for variant in combin.VARIANTS:
         table = combin.BoltzmannTable(variant)
         want = poly.poly_sum(
             combin.weight_cpm(combin.cpm_from_asm(combin.asm_from_gtp(g)), table)

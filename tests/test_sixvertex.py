@@ -27,23 +27,23 @@ C_EX_RENDER = """\
 
 
 def test_table_values():
-    g = sixvertex.boltzmann_table("general")
+    g = combin.BoltzmannTable("general")
     assert g.weight_of("NS", 2, 5) == poly.x(2) + poly.y(2)
     assert g.weight_of("NW", 3, 4) == poly.y(3) - poly.a(4)
     assert g.weight_of("SW", 1, 2) == poly.x(1) + poly.a(2)
     assert g.weight_of("WE", 1, 1) == poly.ONE
-    b = sixvertex.boltzmann_table("bmn")
+    b = combin.BoltzmannTable("bmn")
     assert b.weight_of("NE", 2, 3) == poly.t()
     assert b.weight_of("NS", 1, 1) == (poly.ONE + poly.t()) * poly.z(1)
     assert b.weight_of("NW", 1, 2) == poly.z(1) - poly.t() * poly.alpha(2)
     assert b.weight_of("SW", 1, 2) == poly.z(1) + poly.alpha(2)
-    l = sixvertex.boltzmann_table("lascoux")
+    l = combin.BoltzmannTable("lascoux")
     ainv = poly.Polynomial({((poly.variable("a", 2), -1),): 1})
     assert l.weight_of("NS", 1, 2) == -(poly.x(1) * ainv)
     assert l.weight_of("SW", 1, 2) == -(poly.x(1) * ainv + poly.ONE)
     assert l.weight_of("NW", 1, 2) == poly.ONE
-    with pytest.raises(ValueError):
-        sixvertex.boltzmann_table("other")
+    with pytest.raises(ValueError, match=r"'other'; known: general, bmn, lascoux$"):
+        combin.BoltzmannTable("other")
     with pytest.raises(combin.InvalidCPM):
         g.weight_of("XY", 1, 1)
 

@@ -24,8 +24,24 @@ def test_h_examples():
     assert symfun.h_poly(2, 1, 2) == expect
 
 
+@pytest.mark.parametrize(
+    "k,q,n,slots",
+    [
+        # q = k + 1: the interleaved alphabet of the lemma 2 entries
+        (1, 2, 3, [x_slot(1), y_slot(2), x_slot(2), y_slot(3), x_slot(3)]),
+        # two values of q in between
+        (2, 4, 4, [x_slot(2), x_slot(3, 1), y_slot(4, 1), x_slot(4, 1)]),
+        (1, 3, 4, [x_slot(1), x_slot(2, 1), y_slot(3, 1), x_slot(3, 1), y_slot(4, 1), x_slot(4, 1)]),
+        # q = n + 1: the staircase alphabet of h_poly
+        (2, 5, 4, [x_slot(2), x_slot(3, 1), x_slot(4, 2)]),
+    ],
+)
+def test_shifted_alphabet_slots(k, q, n, slots):
+    assert symfun.shifted_alphabet(k, q, n) == ShiftedAlphabet(slots)
+
+
 def test_q_zero_and_negative():
-    alpha = symfun.interleaved_alphabet(1, 2)
+    alpha = symfun.shifted_alphabet(1, 2, 2)
     assert symfun.q_poly(alpha, 0) == poly.ONE
     assert symfun.q_poly(alpha, -1) == poly.ZERO
 
@@ -56,7 +72,7 @@ def test_h_equals_q_on_staircase_alphabet(k, n, m):
         for idx in itertools.combinations_with_replacement(range(k, n + 1), m)
     )
     assert symfun.h_poly(m, k, n) == brute
-    assert symfun.q_poly(symfun.staircase_alphabet(k, n), m) == brute
+    assert symfun.q_poly(symfun.shifted_alphabet(k, n + 1, n), m) == brute
 
 
 def test_tableau_sum_empty_shape():
