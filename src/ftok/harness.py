@@ -23,8 +23,6 @@ from .shapes import (
     parse_strict_partition,
     shape_for,
 )
-# perfbench/tracing.py assigns harness.q_poly when it wraps symfun.q_poly
-from .symfun import q_poly
 
 # The sf cache lives in sfcache.  These two names stay here because
 # perfbench/tracing.py's install wraps harness.cache_get and harness.cache_put
@@ -177,12 +175,12 @@ def _check_lemma3a(m: int, p: int, n: int):
 
 def _check_lemma3b(m: int, p: int, q: int, n: int):
     """q_m(A(p, q)) - q_m(A(p+1, q+1)) against (x_p + y_q) q_{m-1}(A(p, q+1)),
-    A being ``symfun.shifted_alphabet``; lemma 3(a) is the case q = p + 1."""
+    A(k, q) being the alphabet of ``symfun.q_series``; lemma 3(a) is the case
+    q = p + 1."""
     if not (m >= 0 and 1 <= p < q <= n):
         raise BadParams(f"need m >= 0 and 1 <= p < q <= n, got m={m}, p={p}, q={q}, n={n}")
-    alphabet = symfun.shifted_alphabet
-    lhs = q_poly(alphabet(p, q, n), m) - q_poly(alphabet(p + 1, q + 1, n), m)
-    rhs = (poly.x(p) + poly.y(q)) * q_poly(alphabet(p, q + 1, n), m - 1)
+    lhs = symfun.q_poly(p, q, n, m) - symfun.q_poly(p + 1, q + 1, n, m)
+    rhs = (poly.x(p) + poly.y(q)) * symfun.q_poly(p, q + 1, n, m - 1)
     return lhs, rhs
 
 

@@ -3,11 +3,10 @@
 ``KINDS`` names every tableau sum: a kind is a factorial tableau sum and the
 ring map that specialises it (``a := 0`` for the plain kinds, ``y := x`` for
 Ikeda's factorial Q-function), applied to each strip of the row transfer.
-The one-row building block is ``q_poly`` (sum over slot multisets of a
-:class:`ShiftedAlphabet`).  ``shifted_alphabet(k, q, n)`` builds the one family
-of alphabets A(k, q) that the paper uses: the lemma 2 entries read A(k, k + 1),
-lemma 3 relates neighbouring members, and ``h_poly`` is ``q_poly`` on
-A(k, n + 1).
+The one-row building block is q_m over the paper's alphabets A(k, q):
+``q_series(k, q, n, top)`` gives q_0..q_top in one pass over the letters of
+A(k, q).  The lemma 2 entries read A(k, k + 1), lemma 3 relates neighbouring
+members, and ``h_poly`` is ``q_poly`` on A(k, n + 1).
 The two Jacobi-Trudi style determinants and the identity right-hand sides, a
 deformed ``vandermonde`` times a factorial Schur function, sit on top of them.
 """
@@ -17,7 +16,7 @@ from __future__ import annotations
 import functools
 
 from . import combin, poly, tableaux
-from .shapes import FrozenValue, Partition, StrictPartition
+from .shapes import Partition, StrictPartition
 from .tableaux import InvalidShapeForKind
 
 # symmetric function kind -> (tableau kind, the ring map that turns the
@@ -34,84 +33,42 @@ KINDS = {
 }
 
 
-class Slot(FrozenValue):
-    """One argument of q_m.
+def q_series(k: int, q: int, n: int, top: int) -> list[poly.Polynomial]:
+    """[q_0, ..., q_top] over the paper's alphabet A(k, q).
 
-    The ell-th chosen slot with variable v contributes (v + sign * a_{ell +
-    offset}).  x-slots (sign +1) may be chosen repeatedly, y-slots (sign -1)
-    at most once.  ``offset`` counts the shift operators inserted to the
-    slot's left.
+    A(k, q) is x_k, sh x_{k+1}, ..., sh^(q-1-k) x_{q-1}, then
+    y_q < x_q < ... < y_n < x_n, each shifted q - 1 - k times.  q_m sums, over
+    the weakly increasing choices of m letters (an x repeatable, a y at most
+    once), the product over positions ell of x + a_{ell+s} or y - a_{ell+s},
+    s being the letter's shifts.  One pass over the letters: entry ell holds
+    the choices among the letters so far that fill positions 1..ell.
+
+    q = k + 1 gives the lemma 2 entries, q = n + 1 the ``h_poly`` ones, and
+    lemma 3 relates A(k, q), A(k + 1, q + 1) and A(k, q + 1).
     """
-
-    __slots__ = ("var", "sign", "offset")  # poly.variable key, +-1, int
-
-    def __init__(self, var: tuple[int, int], sign: int, offset: int):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "offset", offset)
-
-
-def x_slot(i: int, offset: int = 0) -> Slot:
-    return Slot(poly.variable("x", i), 1, offset)
-
-
-def y_slot(i: int, offset: int = 0) -> Slot:
-    return Slot(poly.variable("y", i), -1, offset)
-
-
-class ShiftedAlphabet(FrozenValue):
-    __slots__ = ("slots",)  # tuple of Slot
-
-    def __init__(self, slots):
-        object.__setattr__(self, "slots", tuple(slots))
-
-
-@functools.cache  # a determinant reads one alphabet per row, n times
-def shifted_alphabet(k: int, q: int, n: int) -> ShiftedAlphabet:
-    """A(k, q): x_k, sh x_{k+1}, ..., sh^(q-1-k) x_{q-1}, then
-    y_q < x_q < ... < y_n < x_n, each shifted q - 1 - k times.
-
-    q = k + 1 is the interleaved alphabet of the lemma 2 entries and q = n + 1
-    the staircase alphabet of ``h_poly``; lemma 3 relates A(k, q), A(k + 1, q + 1)
-    and A(k, q + 1).
-    """
-    slots = [x_slot(r, r - k) for r in range(k, q)]
+    letters = [("x", r, r - k) for r in range(k, q)]
     for j in range(q, n + 1):
-        slots += [y_slot(j, q - 1 - k), x_slot(j, q - 1 - k)]
-    return ShiftedAlphabet(slots)
+        letters += [("y", j, q - 1 - k), ("x", j, q - 1 - k)]
+    series = [poly.ONE] + [poly.ZERO] * top
+    for family, index, shift in letters:
+        var = poly.var_poly(poly.variable(family, index))
+        if family == "x":  # repeatable: ell upward, so entry ell - 1 may hold it already
+            for ell in range(1, top + 1):
+                series[ell] = series[ell] + series[ell - 1] * (var + poly.a(ell + shift))
+        else:  # at most once: ell downward, so entry ell - 1 does not hold it yet
+            for ell in range(top, 0, -1):
+                series[ell] = series[ell] + series[ell - 1] * (var - poly.a(ell + shift))
+    return series
 
 
-def q_poly(alphabet: ShiftedAlphabet, m: int) -> poly.Polynomial:
-    """Sum over weakly increasing m-multisets of slots (x-slots repeatable)."""
-    if m < 0:
-        return poly.ZERO
-    slots = alphabet.slots
-    memo: dict[tuple[int, int], poly.Polynomial] = {}
-
-    def tail(s: int, ell: int) -> poly.Polynomial:
-        # choices for positions ell..m drawn from slots[s:]
-        if ell > m:
-            return poly.ONE
-        key = (s, ell)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = memo[key] = poly.sum_of_products(
-            (
-                poly.var_poly(slot.var) + poly.const(slot.sign) * poly.a(ell + slot.offset),
-                # an x-slot (sign +1) may be chosen again
-                tail(s2 if slot.sign > 0 else s2 + 1, ell + 1),
-            )
-            for s2, slot in enumerate(slots[s:], start=s)
-        )
-        return total
-
-    return tail(0, 1)
+def q_poly(k: int, q: int, n: int, m: int) -> poly.Polynomial:
+    """q_m over A(k, q); 0 for m < 0."""
+    return q_series(k, q, n, m)[m] if m >= 0 else poly.ZERO
 
 
 def h_poly(m: int, k: int, n: int) -> poly.Polynomial:
     """Sum over k <= i_1 <= ... <= i_m <= n of prod (x_{i_l} + a_{i_l - k + l})."""
-    return q_poly(shifted_alphabet(k, n + 1, n), m)
+    return q_poly(k, n + 1, n, m)
 
 
 @functools.cache
@@ -161,18 +118,22 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
     """The two determinant expressions for the factorial functions.
 
     lemma1: entry (k, l) is h_{mu_l - l + k} over x_k..x_n.
-    lemma2: entry (k, l) is x_k * q_{lambda_l - 1} over A(k, k + 1), the
-    ``shifted_alphabet`` x_k < y_{k+1} < x_{k+1} < ... < y_n < x_n; needs a
-    strict shape of exactly n positive parts.
+    lemma2: entry (k, l) is x_k * q_{lambda_l - 1} over A(k, k + 1),
+    x_k < y_{k+1} < x_{k+1} < ... < y_n < x_n; needs a strict shape of exactly
+    n positive parts.
+    Each row reads its n entries from one ``q_series`` of its alphabet.
     """
     if kind == "lemma1":
         if not isinstance(shape, Partition):
             raise InvalidShapeForKind("lemma1 needs a Partition shape")
         mu = shape.padded(n)
-        matrix = [
-            [h_poly(mu[ell] - (ell + 1) + (k + 1), k + 1, n) for ell in range(n)]
-            for k in range(n)
-        ]
+        matrix = []
+        for k in range(1, n + 1):
+            # mu_l - l + k falls with l; below zero the entry is 0, and a
+            # negative index would read the series from its end
+            series = q_series(k, n + 1, n, mu[0] - 1 + k)
+            degrees = [part - ell + k for ell, part in enumerate(mu, start=1)]
+            matrix.append([series[m] if m >= 0 else poly.ZERO for m in degrees])
         return poly.det(matrix)
     if kind == "lemma2":
         if not isinstance(shape, StrictPartition):
@@ -180,13 +141,10 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
         lam = tuple(shape.parts)
         if len(lam) != n or shape.length() != n:
             raise InvalidShapeForKind(f"lemma2 needs exactly {n} positive parts, got {lam}")
-        matrix = [
-            [
-                poly.x(k + 1) * q_poly(shifted_alphabet(k + 1, k + 2, n), lam[ell] - 1)
-                for ell in range(n)
-            ]
-            for k in range(n)
-        ]
+        matrix = []
+        for k in range(1, n + 1):
+            series = q_series(k, k + 1, n, lam[0] - 1)
+            matrix.append([poly.x(k) * series[part - 1] for part in lam])
         return poly.det(matrix)
     raise InvalidShapeForKind(f"unknown determinant kind {kind!r}")
 

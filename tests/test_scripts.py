@@ -35,6 +35,9 @@ def test_tracer_hooks_still_wrap():
         "    spec = harness.IdentitySpec(ident, {'mu': '1', 'n': 3})\n"
         "    assert harness.verify_identity(spec).passed, ident\n"
         "assert rec.counters['paths.families.objects'] == 0, dict(rec.counters)\n"
+        "spec = harness.IdentitySpec('lemma3b', {'m': 2, 'p': 1, 'q': 2, 'n': 3})\n"
+        "assert harness.verify_identity(spec).passed\n"
+        "assert 'symfun.q_poly' in rec.names, rec.names\n"
         "paths.nonintersecting_sum('pst', StrictPartition((2, 1)), 2)\n"
         "for t in tableaux.enumerate_tableaux('primedQ', StrictPartition((2, 1)), 2):\n"
         "    tableaux.check(t)\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftok import combin, harness, paths, symfun, tableaux
+from ftok import combin, harness, paths, tableaux
 from ftok.shapes import (
     MuTooLong,
     Partition,
@@ -111,7 +111,6 @@ def test_cells():
 # A maker of one instance of each immutable value class, and its repr: the
 # ``Name(field=value, ...)`` text a frozen dataclass prints.
 _entry = tableaux.CellEntry(1, True)
-_slot = symfun.Slot((0, 1), -1, 2)
 _path = paths.LatticePath((1, 0), "HV")
 _spec = harness.IdentitySpec("lemma1", {"mu": Partition((1,)), "n": 2})
 VALUE_CASES = [
@@ -134,11 +133,6 @@ VALUE_CASES = [
         "CPM(entries=(('SE', 'NW'),), shape=StrictPartition(parts=(2,)))",
     ),
     (lambda: combin.BoltzmannTable("bmn"), "BoltzmannTable(variant='bmn')"),
-    (lambda: symfun.Slot((0, 1), -1, 2), "Slot(var=(0, 1), sign=-1, offset=2)"),
-    (
-        lambda: symfun.ShiftedAlphabet([_slot]),
-        "ShiftedAlphabet(slots=(Slot(var=(0, 1), sign=-1, offset=2),))",
-    ),
     (lambda: paths.LatticePath((1, 0), "HV"), "LatticePath(start=(1, 0), steps='HV')"),
     (
         lambda: paths.PathFamily("pst", 1, StrictPartition((1,)), [_path]),

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ftok import poly, symfun, tableaux
 from ftok.shapes import Partition, StrictPartition
-from ftok.symfun import ShiftedAlphabet, x_slot, y_slot
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_h_boundaries():
@@ -24,44 +29,76 @@ def test_h_examples():
     assert symfun.h_poly(2, 1, 2) == expect
 
 
-@pytest.mark.parametrize(
-    "k,q,n,slots",
-    [
-        # q = k + 1: the interleaved alphabet of the lemma 2 entries
-        (1, 2, 3, [x_slot(1), y_slot(2), x_slot(2), y_slot(3), x_slot(3)]),
-        # two values of q in between
-        (2, 4, 4, [x_slot(2), x_slot(3, 1), y_slot(4, 1), x_slot(4, 1)]),
-        (1, 3, 4, [x_slot(1), x_slot(2, 1), y_slot(3, 1), x_slot(3, 1), y_slot(4, 1), x_slot(4, 1)]),
-        # q = n + 1: the staircase alphabet of h_poly
-        (2, 5, 4, [x_slot(2), x_slot(3, 1), x_slot(4, 2)]),
-    ],
-)
-def test_shifted_alphabet_slots(k, q, n, slots):
-    assert symfun.shifted_alphabet(k, q, n) == ShiftedAlphabet(slots)
+def _paper_alphabet(k, q, n):
+    # A(k, q) as the paper writes it: x_k, sh x_{k+1}, ..., sh^(q-1-k) x_{q-1},
+    # then y_q < x_q < ... < y_n < x_n, each shifted q - 1 - k times;
+    # a letter is (family, index, number of shifts)
+    letters = [("x", r, r - k) for r in range(k, q)]
+    for j in range(q, n + 1):
+        letters += [("y", j, q - 1 - k), ("x", j, q - 1 - k)]
+    return letters
+
+
+def _brute_q(letters, m):
+    # every weakly increasing choice of m letters, an x repeatable and a y at
+    # most once; position ell of a letter with s shifts gives x + a_{ell+s}
+    # or y - a_{ell+s}
+    total = poly.ZERO
+    for choice in itertools.combinations_with_replacement(range(len(letters)), m):
+        if any(letters[i][0] == "y" and choice.count(i) > 1 for i in choice):
+            continue
+        term = poly.ONE
+        for ell, i in enumerate(choice, start=1):
+            family, index, shifts = letters[i]
+            var = poly.var_poly(poly.variable(family, index))
+            sign = 1 if family == "x" else -1
+            term = term * (var + poly.const(sign) * poly.a(ell + shifts))
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_q_series_matches_the_paper_alphabet(n):
+    for k in range(1, n + 1):
+        for q in range(k + 1, n + 2):
+            letters = _paper_alphabet(k, q, n)
+            series = symfun.q_series(k, q, n, 3)
+            assert series == [_brute_q(letters, m) for m in range(4)], (k, q, n)
 
 
 def test_q_zero_and_negative():
-    alpha = symfun.shifted_alphabet(1, 2, 2)
-    assert symfun.q_poly(alpha, 0) == poly.ONE
-    assert symfun.q_poly(alpha, -1) == poly.ZERO
+    assert symfun.q_poly(1, 2, 2, 0) == poly.ONE
+    assert symfun.q_poly(1, 2, 2, -1) == poly.ZERO
 
 
 def test_q_single_choices():
-    alpha = ShiftedAlphabet([x_slot(1), y_slot(2), x_slot(2)])
-    assert symfun.q_poly(alpha, 1) == poly.x(1) + poly.x(2) + poly.y(2) + poly.a(1)
-    shifted = ShiftedAlphabet([x_slot(1), x_slot(2, 1)])
-    assert symfun.q_poly(shifted, 1) == (poly.x(1) + poly.a(1)) + (
-        poly.x(2) + poly.a(2)
-    )
-    assert symfun.q_poly(shifted, 1) == symfun.h_poly(1, 1, 2)
+    # A(1, 2) at n = 2 is x_1 < y_2 < x_2
+    assert symfun.q_poly(1, 2, 2, 1) == poly.x(1) + poly.x(2) + poly.y(2) + poly.a(1)
+    # A(1, 3) at n = 2 is x_1, sh x_2
+    assert symfun.q_poly(1, 3, 2, 1) == (poly.x(1) + poly.a(1)) + (poly.x(2) + poly.a(2))
+    assert symfun.q_poly(1, 3, 2, 1) == symfun.h_poly(1, 1, 2)
 
 
 def test_q_respects_repeatability():
-    alpha = ShiftedAlphabet([y_slot(2)])
-    # a y-slot cannot be chosen twice
-    assert symfun.q_poly(alpha, 2) == poly.ZERO
-    alpha = ShiftedAlphabet([x_slot(1)])
-    assert symfun.q_poly(alpha, 2) == (poly.x(1) + poly.a(1)) * (poly.x(1) + poly.a(2))
+    # A(1, 2) at n = 1 is the lone x_1, which may fill both positions
+    assert symfun.q_poly(1, 2, 1, 2) == (poly.x(1) + poly.a(1)) * (poly.x(1) + poly.a(2))
+
+
+def test_q_has_no_depth_limit():
+    # the letters are summed in a loop, so a long q_m needs no stack depth
+    code = (
+        "import sys\n"
+        "from ftok import poly, symfun\n"
+        "sys.setrecursionlimit(40)\n"
+        "got = symfun.q_poly(1, 2, 1, 12)\n"
+        "assert got == poly.product(poly.x(1) + poly.a(ell) for ell in range(1, 13))\n"
+        "assert len(got.terms) == 4096, len(got.terms)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("k,n,m", [(1, 2, 2), (1, 3, 3), (2, 4, 2), (1, 4, 3)])
@@ -72,7 +109,7 @@ def test_h_equals_q_on_staircase_alphabet(k, n, m):
         for idx in itertools.combinations_with_replacement(range(k, n + 1), m)
     )
     assert symfun.h_poly(m, k, n) == brute
-    assert symfun.q_poly(symfun.shifted_alphabet(k, n + 1, n), m) == brute
+    assert symfun.q_poly(k, n + 1, n, m) == brute
 
 
 def test_tableau_sum_empty_shape():
