@@ -382,8 +382,9 @@ def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynom
     Row transfer: ``H(row) = sum_lower row_weight(len(row), row, lower) *
     H(lower)`` from ``H(()) = 1``, memoised on the row for this call only, so
     each row reachable from ``top`` is summed once however many chains pass
-    through it.  Each ``H(row)`` is one :func:`poly.sum_of_products` call on
-    the (row weight, ``H(lower)``) pairs, so no product is built on its own.
+    through it; a lower row of row weight 0 is skipped, never summed.  Each
+    ``H(row)`` is one :func:`poly.sum_of_products` call on the (row weight,
+    ``H(lower)``) pairs, so no product is built on its own.
     """
     memo = {(): poly.ONE}
 
@@ -391,8 +392,9 @@ def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynom
         got = memo.get(row)
         if got is None:
             got = memo[row] = poly.sum_of_products(
-                (row_weight(len(row), row, lower), h(lower))
+                (weight, h(lower))
                 for lower in interlacing(row, strict)
+                if (weight := row_weight(len(row), row, lower))
             )
         return got
 

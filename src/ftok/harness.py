@@ -271,21 +271,17 @@ def _check_cor6(mu: Partition, n: int):
 
 
 def _check_paths_lemma1(mu: Partition, n: int):
-    """The ``sst`` lattice-path sum against the lemma 1 determinant.
-
-    The lhs is ``paths.row_sweep_sum``, which builds no family;
-    ``paths.nonintersecting_sum``, family by family, is its test oracle.
-    """
+    """The ``sst`` lattice-path sum ``paths.row_sweep_sum``, a
+    ``combin.row_transfer`` of path-leg weights that builds no family, against
+    the lemma 1 determinant; ``paths.nonintersecting_sum`` is its oracle."""
     lhs = paths.row_sweep_sum("sst", mu, n)
     rhs = symfun.det_formula("lemma1", mu, n)
     return lhs, rhs
 
 
 def _check_paths_lemma2(lam: StrictPartition, n: int):
-    """The ``pst`` lattice-path sum against the lemma 2 determinant.
-
-    The lhs is ``paths.row_sweep_sum``, as in :func:`_check_paths_lemma1`.
-    """
+    """The ``pst`` lattice-path sum, a ``combin.row_transfer`` of path-leg
+    weights as in :func:`_check_paths_lemma1`, against the lemma 2 determinant."""
     lhs = paths.row_sweep_sum("pst", lam, n)
     rhs = symfun.det_formula("lemma2", lam, n)
     return lhs, rhs

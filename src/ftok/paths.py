@@ -11,7 +11,10 @@ Two conventions are supported, keyed by the tableau kind they encode:
   later H edge ending (k, c) weighs x_k + a_{c-1}; a D edge ending (k, c)
   weighs y_k - a_{c-1}.
 
-Paths of a family may not share any lattice point.
+Paths of a family may not share any lattice point.  The lattice-path sum
+(:func:`row_sweep_sum`) is a :func:`combin.row_transfer` of path-leg weights
+down the lattice rows; :func:`nonintersecting_sum` is its family-by-family
+oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator
 
-from . import poly, tableaux
+from . import combin, poly, tableaux
 from .shapes import FrozenValue, Partition, StrictPartition
 from .tableaux import CellEntry, InvalidTableau, Tableau
 
@@ -173,13 +176,11 @@ def _edge_weight(kind: str, n: int, step: str, r: int, c: int) -> poly.Polynomia
     return poly.x(r) + poly.a(c - 1)
 
 
-def _path_weight(kind: str, n: int, path: LatticePath) -> poly.Polynomial:
-    return poly.product(_edge_weight(kind, n, s, r, c) for s, r, c in path.walk())
-
-
 def paths_weight(f: PathFamily) -> poly.Polynomial:
     validate_family(f)
-    return poly.product(_path_weight(f.kind, f.n, p) for p in f.paths)
+    return poly.product(
+        _edge_weight(f.kind, f.n, s, r, c) for path in f.paths for s, r, c in path.walk()
+    )
 
 
 def _free_paths(kind: str, shape, n: int, i: int) -> list[LatticePath]:
@@ -233,49 +234,46 @@ def nonintersecting_sum(kind: str, shape, n: int) -> poly.Polynomial:
 
 
 def row_sweep_sum(kind: str, shape, n: int) -> poly.Polynomial:
-    """The total weight of the non-intersecting families, summed row by row.
+    """The total weight of the non-intersecting families, as one
+    :func:`combin.row_transfer` over lattice rows.
 
-    Going down lattice rows 1..n, the state is the tuple of columns where the
-    started paths enter the next row, mapped to the summed weight of their
-    edges so far; path r joins in row r at its start.  In row r a path runs H
-    steps from its entry column to an exit column strictly left of the entry
-    column of the path before it, then leaves by V, or by D (``pst`` only),
-    into row r + 1.  A new ``pst`` path takes at least one H step, and in row
-    n every path leaves by V onto its end column.  V and D edges hold no
-    lattice point between their ends, so these rules are exactly the step
-    grammar and point-disjointness, and each family is counted once, as the
-    product of its edge weights.  Within a row the paths move one at a time
-    from left to right (path r first), so each reads the old entry column of
-    the path to its right and the new one of the path to its left.
+    The state after row r holds how far each path j = 1..r has moved right
+    of its start column: its H steps for ``sst``, its entry column into row
+    r + 1 for ``pst``.  The top state is mu padded to n, or lambda; path r
+    joins row r at 0.  In row r path j runs H steps from its entry e, then
+    leaves into row r + 1 at f, so two paths share no point of the row
+    exactly when the states interlace, f_j >= e_j >= f_(j+1), weakly for
+    ``sst`` and strictly for ``pst``.  With e' the entry column of the path
+    to its right, a ``pst`` path may then leave by V when f < e' and by D
+    when r < n and f > e; a new one takes at least one H step, so it needs
+    f >= 1 by V and f >= 2 by D.  V and D edges hold no lattice point
+    between their ends, so the row weight, the product of the paths' leg
+    sums, counts each family once, as the product of its edge weights.
     :func:`nonintersecting_sum` is its oracle.
     """
     ends = [_endpoints(kind, shape, n, i) for i in range(1, n + 1)]
-    diagonal = kind == "pst"
+    starts = [start for (_, start), _ in ends]
 
-    @functools.cache
-    def leg(r: int, e: int, x: int, f: int) -> poly.Polynomial:
-        # H steps along row r from column e to x, then V (f == x) or D (f == x + 1)
-        steps = [("H", r, c) for c in range(e + 1, x + 1)]
-        if f > x:
-            steps.append(("D", r + 1, f))
-        return poly.product(_edge_weight(kind, n, *step) for step in steps)
+    def row_weight(r, upper, lower):
+        entry = lower + (0,)  # path r enters row r at its start
+        return poly.product(
+            _leg_sum(kind, n, r, starts[j] + entry[j], starts[j] + upper[j],
+                     entry[j - 1] if j and kind == "pst" else None)
+            for j in range(r)
+        )
 
-    sums = {(): poly.ONE}
-    for r in range(1, n + 1):
-        (_, start), _ = ends[r - 1]
-        sums = {cols + (start,): p for cols, p in sums.items()}
-        for j in reversed(range(r)):
-            end = ends[j][1][1]
-            pairs: dict[tuple[int, ...], list] = {}
-            for cols, p in sums.items():
-                e = cols[j]
-                lo = e + (diagonal and j == r - 1)  # a new pst path starts with H
-                hi = cols[j - 1] - 1 if j else end
-                left = cols[j + 1] if j + 1 < r else -1
-                for x in range(max(lo, end) if r == n else lo, min(hi, end) + 1):
-                    for f in (x, x + 1) if diagonal else (x,):
-                        if left < f <= end:
-                            key = cols[:j] + (f,) + cols[j + 1:]
-                            pairs.setdefault(key, []).append((p, leg(r, e, x, f)))
-            sums = {key: poly.sum_of_products(ps) for key, ps in pairs.items()}
-    return sums.get(tuple(end for _, (_, end) in ends), poly.ZERO)
+    top = tuple(end - start for (_, start), (_, end) in ends)
+    return combin.row_transfer(top, row_weight, strict=kind == "pst")
+
+
+@functools.cache
+def _leg_sum(kind: str, n: int, r: int, e: int, f: int, right: int | None) -> poly.Polynomial:
+    """The summed weight of one path's edges from column e of row r to column
+    f of row r + 1, by V only left of column ``right`` (None: anywhere)."""
+    legs = [(f, poly.ONE)] if f >= 1 and (right is None or f < right) else []
+    if kind == "pst" and r < n and f - 1 >= max(e, 1):
+        legs.append((f - 1, _edge_weight(kind, n, "D", r + 1, f)))
+    return poly.sum_of_products(
+        (poly.product(_edge_weight(kind, n, "H", r, c) for c in range(e + 1, x + 1)), last)
+        for x, last in legs
+    )

@@ -123,6 +123,8 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
     n positive parts.
     Each row reads its n entries from one ``q_series`` of its alphabet.
     """
+    if n < 1:
+        raise InvalidShapeForKind(f"n must be at least 1, got {n}")
     if kind == "lemma1":
         if not isinstance(shape, Partition):
             raise InvalidShapeForKind("lemma1 needs a Partition shape")

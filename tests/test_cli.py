@@ -314,6 +314,14 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("kind", ["lemma1-det", "lemma2-det"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_det_kinds_reject_n_below_1(capsys, kind, n):
+    code, out, err = run(capsys, "sf", "--kind", kind, "--shape", "", "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: n must be at least 1, got {n}\n"
+
+
 def test_module_entry_bad_input_exits_2():
     result = subprocess.run(
         [sys.executable, "-m", "ftok.cli", "zfunc", "--variant", "bmn", "--mu", "1", "--n", "0"],

@@ -208,14 +208,19 @@ def test_pst_lgv_sum_matches_determinant(lam, n):
 
 
 def test_lgv_sum_matches_family_by_family_weights():
-    # the row sweep against the sum over the families: the ranges of
-    # test_criterion_04_lattice_paths, then n = 4 with |mu| <= 2
+    # the row transfer against the sum over the families: the ranges of
+    # test_criterion_04_lattice_paths, then n = 4 with |mu| <= 2, pst shapes
+    # with a 0 part (no family: a pst path takes at least one H step), and
+    # two sst shapes at n = 5
     cases = []
     for n in (1, 2, 3):
         cases += [("sst", mu, n) for mu in harness.partitions_up_to(8, n)]
         cases += [("pst", lam, n) for lam in _strict_partitions(8, n)]
     for mu in harness.partitions_up_to(2, 4):
         cases += [("sst", mu, 4), ("pst", shape_for(mu, 4, "delta"), 4)]
+    for parts, n in [((1, 0), 2), ((2, 0), 2), ((3, 2, 0), 3), ((4, 1, 0), 3)]:
+        cases.append(("pst", StrictPartition(parts), n))
+    cases += [("sst", Partition((3, 2, 1)), 5), ("sst", Partition((2, 2)), 5)]
     for kind, shape, n in cases:
         want = paths.nonintersecting_sum(kind, shape, n)
         assert paths.row_sweep_sum(kind, shape, n) == want, (kind, shape, n)

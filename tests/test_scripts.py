@@ -23,8 +23,8 @@ def test_show_bijection_example_runs():
 def test_tracer_hooks_still_wrap():
     # perfbench/tracing.py wraps ftok functions by name; a renamed or removed
     # one would otherwise show only under `perfbench/run.py --trace 1`.  The
-    # path identities sum by the row sweep, so only the oracle
-    # nonintersecting_sum reaches the wrapped family enumerator.
+    # path identities sum by a combin.row_transfer of path-leg weights, so
+    # only the oracle nonintersecting_sum reaches the wrapped family enumerator.
     code = (
         "import tracing\n"
         "from ftok import harness, paths, tableaux\n"
