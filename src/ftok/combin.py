@@ -39,7 +39,7 @@ class GTPattern(FrozenValue):
     __slots__ = ("rows",)  # tuple of int tuples; rows[i-1] has i entries, bottom-up
 
     def __init__(self, rows):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        super().__init__(tuple(tuple(r) for r in rows))
 
     def n(self) -> int:
         return len(self.rows)
@@ -87,8 +87,7 @@ class ASM(FrozenValue):
     __slots__ = ("entries", "shape")  # int rows top-down, StrictPartition
 
     def __init__(self, entries, shape):
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))
-        object.__setattr__(self, "shape", shape)
+        super().__init__(tuple(tuple(r) for r in entries), shape)
 
     def dims(self) -> tuple[int, int]:
         return len(self.entries), self.shape.breadth()
@@ -138,8 +137,7 @@ class CPM(FrozenValue):
     __slots__ = ("entries", "shape")  # rows of CPM_LETTERS, StrictPartition
 
     def __init__(self, entries, shape):
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))
-        object.__setattr__(self, "shape", shape)
+        super().__init__(tuple(tuple(r) for r in entries), shape)
 
     def dims(self) -> tuple[int, int]:
         return len(self.entries), len(self.entries[0]) if self.entries else 0
@@ -271,7 +269,7 @@ class BoltzmannTable(FrozenValue):
     def __init__(self, variant: str):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; known: {', '.join(VARIANTS)}")
-        object.__setattr__(self, "variant", variant)
+        super().__init__(variant)
 
     def weight_of(self, letter: str, i: int, j: int) -> poly.Polynomial:
         if letter not in CPM_LETTERS:

@@ -42,8 +42,7 @@ class IdentitySpec(FrozenValue):
     __slots__ = ("id", "params")  # identity id, parameter name -> value
 
     def __init__(self, id: str, params: dict | None = None):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "params", {} if params is None else params)
+        super().__init__(id, {} if params is None else params)
 
     def describe(self) -> str:
         bits = []
@@ -57,17 +56,8 @@ class IdentitySpec(FrozenValue):
 
 
 class IdentityReport(FrozenValue):
+    # IdentitySpec, canonical lhs and rhs, lhs == rhs, canonical lhs - rhs, seconds
     __slots__ = ("spec", "lhs", "rhs", "passed", "diff", "elapsed")
-
-    def __init__(
-        self, spec: IdentitySpec, lhs: str, rhs: str, passed: bool, diff: str, elapsed: float
-    ):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "diff", diff)
-        object.__setattr__(self, "elapsed", elapsed)
 
     def to_json(self) -> dict:
         params = {}
@@ -113,7 +103,7 @@ def _resolve(params: dict, names: tuple[str, ...]) -> list:
     """The values of ``names`` read from ``params``, inside the shared domain.
 
     Every identity needs ``n >= 1``.  ``mu`` has at most ``n`` nonzero parts;
-    ``lam`` is the ``lambda`` parameter with exactly ``n`` positive parts, or,
+    ``lam`` is the ``lambda`` parameter, of length ``n`` with no zero part, or,
     when there is no ``lambda``, ``mu + delta``; ``m``, ``p`` and ``q`` are
     integers.  Anything else, and any parameter the identity does not read,
     raises ``BadParams``.
@@ -133,7 +123,9 @@ def _resolve(params: dict, names: tuple[str, ...]) -> list:
         elif key == "lam" and "lambda" in params:
             lam = _get_shape(params, "lambda", StrictPartition, parse_strict_partition)
             if len(lam.parts) != n or lam.length() != n:
-                raise BadParams(f"lambda must have exactly {n} positive parts")
+                raise BadParams(
+                    f"lambda must have exactly {n} parts, all positive, got {lam.parts}"
+                )
             values[key] = lam
         elif key in ("mu", "lam"):
             mu = _get_shape(params, "mu", Partition, parse_partition)
@@ -187,8 +179,10 @@ def _check_lemma3b(m: int, p: int, q: int, n: int):
 def _check_lemma4(mu: Partition, n: int):
     # encoded as polynomials: sum of t^(#SW - #NE) over the compass point
     # matrices of shape mu + delta against count * t^|mu|.  Row i of a matrix
-    # is fixed by pattern rows i - 1 and i (combin.cpm_row), so both sides are
-    # row transfers over the patterns; combin.enumerate_asm is their oracle.
+    # is fixed by pattern rows i - 1 and i (combin.cpm_row), so the lhs is a
+    # row transfer over the patterns.  Its coefficients sum to the count, and
+    # lhs == count * t^|mu| exactly when every matrix has #SW - #NE = |mu|;
+    # combin.enumerate_asm is the oracle of the count.
     lam = shape_for(mu, n, "delta")
     width = lam.breadth()
     tvar = poly.variable("t")
@@ -198,8 +192,7 @@ def _check_lemma4(mu: Partition, n: int):
         return poly.var_poly(tvar, letters.count("SW") - letters.count("NE"))
 
     lhs = combin.gt_row_sum(lam, compass_weight)
-    count = combin.gt_row_sum(lam, lambda i, row, lower: poly.ONE)
-    rhs = count * poly.var_poly(tvar, mu.weight())
+    rhs = poly.const(sum(lhs.terms.values())) * poly.var_poly(tvar, mu.weight())
     return lhs, rhs
 
 
@@ -320,12 +313,12 @@ def verify_identity(spec: IdentitySpec) -> IdentityReport:
     passed = lhs == rhs
     lhs_text = poly.canonical(lhs)
     return IdentityReport(
-        spec=spec,
-        lhs=lhs_text,
-        rhs=lhs_text if passed else poly.canonical(rhs),
-        passed=passed,
-        diff="0" if passed else poly.canonical(lhs - rhs),
-        elapsed=time.perf_counter() - start,
+        spec,
+        lhs_text,
+        lhs_text if passed else poly.canonical(rhs),
+        passed,
+        "0" if passed else poly.canonical(lhs - rhs),
+        time.perf_counter() - start,
     )
 
 

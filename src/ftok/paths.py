@@ -42,10 +42,6 @@ STEPS = {"H": (0, 1), "V": (1, 0), "D": (1, 1)}
 class LatticePath(FrozenValue):
     __slots__ = ("start", "steps")  # (row, column), letters of STEPS
 
-    def __init__(self, start: tuple[int, int], steps: str):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "steps", steps)
-
     def walk(self) -> Iterator[tuple[str, int, int]]:
         """Yield (step, row, column) after each step."""
         r, c = self.start
@@ -69,10 +65,7 @@ class PathFamily(FrozenValue):
     def __init__(self, kind, n, shape, paths):
         if kind not in ("sst", "pst"):
             raise MalformedFamily(f"unknown family kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "paths", tuple(paths))
+        super().__init__(kind, n, shape, tuple(paths))
 
 
 def _endpoints(kind: str, shape, n: int, i: int) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -24,12 +24,14 @@ def is_int(v) -> bool:
 class FrozenValue:
     """Base of ftok's immutable value classes.
 
-    A subclass names its fields once, in ``__slots__``, and sets them in its
-    ``__init__`` with ``object.__setattr__``.  Equality (same class, equal
-    field tuples), hashing (of the field tuple) and ``repr``
-    (``Name(field=value, ...)``) then behave as a frozen dataclass's do, but
-    defining the class generates and ``exec``s no code: each CLI request is
-    its own process, so that work would be paid on every request.
+    A subclass names its fields once, in ``__slots__``, and
+    ``FrozenValue.__init__`` takes their values in that order.  A subclass
+    defines ``__init__`` only to convert or check its input, and then calls
+    ``super().__init__``.  Equality (same class, equal field tuples), hashing
+    (of the field tuple) and ``repr`` (``Name(field=value, ...)``) behave as a
+    frozen dataclass's do, but defining the class generates and ``exec``s no
+    code: each CLI request is its own process, so that work would be paid on
+    every request.
     """
 
     __slots__ = ()
@@ -40,6 +42,13 @@ class FrozenValue:
             cls._values = lambda self: (get(self),)
         else:
             cls._values = lambda self: get(self)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            count = len(self.__slots__)
+            raise TypeError(f"{type(self).__qualname__} takes {count} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -66,8 +75,7 @@ class FrozenValue:
         return self._values()
 
     def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        FrozenValue.__init__(self, *state)
 
 
 class Partition(FrozenValue):
@@ -79,7 +87,7 @@ class Partition(FrozenValue):
             raise ValueError(f"parts must be nonnegative integers, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     def length(self) -> int:
         """Number of nonzero parts."""
@@ -114,7 +122,7 @@ class StrictPartition(FrozenValue):
             raise ValueError(f"interior zero part in {parts}")
         if any(nonzero[i] <= nonzero[i + 1] for i in range(len(nonzero) - 1)):
             raise ValueError(f"parts not strictly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     def length(self) -> int:
         return sum(1 for p in self.parts if p > 0)

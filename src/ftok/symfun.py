@@ -120,7 +120,7 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
     lemma1: entry (k, l) is h_{mu_l - l + k} over x_k..x_n.
     lemma2: entry (k, l) is x_k * q_{lambda_l - 1} over A(k, k + 1),
     x_k < y_{k+1} < x_{k+1} < ... < y_n < x_n; needs a strict shape of exactly
-    n positive parts.
+    n parts, all positive.
     Each row reads its n entries from one ``q_series`` of its alphabet.
     """
     if n < 1:
@@ -142,7 +142,7 @@ def det_formula(kind: str, shape, n: int) -> poly.Polynomial:
             raise InvalidShapeForKind("lemma2 needs a StrictPartition shape")
         lam = tuple(shape.parts)
         if len(lam) != n or shape.length() != n:
-            raise InvalidShapeForKind(f"lemma2 needs exactly {n} positive parts, got {lam}")
+            raise InvalidShapeForKind(f"lemma2 needs exactly {n} parts, all positive, got {lam}")
         matrix = []
         for k in range(1, n + 1):
             series = q_series(k, k + 1, n, lam[0] - 1)

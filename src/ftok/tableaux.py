@@ -53,9 +53,7 @@ class CellEntry(FrozenValue):
     def __init__(self, value: int, primed: bool = False):
         if value < 1:
             raise ValueError("entries start at 1")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "primed", primed)
-        object.__setattr__(self, "sort_key", (value, 0 if primed else 1))
+        super().__init__((value, 0 if primed else 1), value, primed)
 
     def __lt__(self, other):
         # sort_key fixes value and primed, so this orders as the field tuples do
@@ -78,10 +76,6 @@ class CellEntry(FrozenValue):
 class Violation(FrozenValue):
     __slots__ = ("rule", "cell")  # str, (i, j)
 
-    def __init__(self, rule: str, cell: tuple[int, int]):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "cell", cell)
-
 
 class Tableau(FrozenValue):
     # str, Partition | StrictPartition, int, sorted tuple of ((i, j), CellEntry)
@@ -91,10 +85,7 @@ class Tableau(FrozenValue):
         _kind(kind)
         if isinstance(cells, dict):
             cells = tuple(sorted(cells.items()))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cells", tuple(cells))
+        super().__init__(kind, shape, n, tuple(cells))
 
     def cell_map(self) -> dict:
         return dict(self.cells)

@@ -273,6 +273,7 @@ BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never write
         "enumerate --kind asm --shape 3,2,1 --n 7 --count-only",
         "sf --kind lemma2-det --shape 3,2 --n 3",
         "sf --kind lemma2-det --shape 3,2,0 --n 3",
+        "sf --kind lemma2-det --shape 3,2,0 --n 2",
         "sf --kind schur --shape a --n 2",
         "zfunc --variant bmn --mu 3,2,1 --n 2",
         "zfunc --variant nope --mu 1 --n 2",
@@ -284,9 +285,14 @@ BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never write
         "bijection --from shifted --to gtp --input string-n.json",
         "bijection --from asm --to gtp --input float-part.json",
         "bijection --from asm --to gtp --input bool-entry.json",
+        # the ice is reached through asm_from_gtp, whose ASM check rejects
+        # the zero part of the top row
+        "bijection --from gtp --to cpm --input zero-top.json",
+        "bijection --from gtp --to sic --input zero-top.json",
         "bijection --from shifted --to gtp --input rule-violated.json",
         "verify --id theorem1P --mu 1 --lambda 3,2 --n 2",
         "verify --id lemma2 --mu 1 --lambda 3,1 --n 2",
+        "verify --id lemma2 --lambda 3,2,0 --n 2",
         "verify --id lemma1 --mu 1 --m 7 --n 2",
         "verify --id nope --mu 1 --n 2",
     ]
@@ -296,6 +302,7 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "no-shape.json").write_text('{"kind": "shifted"}')
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "not-strict.json").write_text('{"rows": [[3], [1, 2]]}')
+    (tmp_path / "zero-top.json").write_text('{"rows": [[1], [1, 0]]}')
     shifted = '{"kind": "shifted", "shape": [2, 1], "n": %s, "rows": [["1", "1"], ["2"]]}'
     (tmp_path / "float-n.json").write_text(shifted % "2.9")
     (tmp_path / "string-n.json").write_text(shifted % '"2"')

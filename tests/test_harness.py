@@ -57,6 +57,11 @@ def test_bad_params():
         for lam, n in (("2,2", 2), ("3,2,0", 3)):
             with pytest.raises(harness.BadParams):
                 harness.verify_identity(IdentitySpec(ident, {"lambda": lam, "n": n}))
+        # (3, 2, 0) has two positive parts; its third part is what is wrong
+        with pytest.raises(
+            harness.BadParams, match=r"exactly 2 parts, all positive, got \(3, 2, 0\)$"
+        ):
+            harness.verify_identity(IdentitySpec(ident, {"lambda": "3,2,0", "n": 2}))
     with pytest.raises(harness.BadParams):
         harness.verify_identity(IdentitySpec("lemma1", {"n": 2}))
     for n in ("2", True, False):

@@ -185,3 +185,19 @@ def test_frozen_value_classes_and_defaults():
     assert sorted([two, one, two_p, one_p]) == [one_p, one, two_p, two]
     x, y = IdentitySpec("x"), IdentitySpec("x")
     assert x.params == {} and x.params is not y.params
+    # classes with no __init__ of their own take exactly their fields
+    for klass, fields in (
+        (tableaux.Violation, ("P3", (1, 2))),
+        (paths.LatticePath, ((1, 0), "HV")),
+        (harness.IdentityReport, (x, "x1", "x1", True, "0", 0.25)),
+    ):
+        assert "__init__" not in vars(klass)
+        assert klass(*fields)._values() == fields
+        for wrong in (fields[:-1], fields + (None,)):
+            with pytest.raises(TypeError, match=rf"^{klass.__name__} takes {len(fields)} fields"):
+                klass(*wrong)
+    # Tableau converts a dict of cells to the sorted tuple of its field
+    cells = {(1, 2): CellEntry(2), (1, 1): one}
+    t = tableaux.Tableau("sst", Partition((2,)), 2, cells)
+    assert t.cells == (((1, 1), one), ((1, 2), CellEntry(2)))
+    assert t == tableaux.Tableau("sst", Partition((2,)), 2, list(t.cells))

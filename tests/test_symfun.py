@@ -164,6 +164,10 @@ def test_det_formula_preconditions():
         symfun.det_formula("lemma2", StrictPartition((2, 1)), 3)
     with pytest.raises(symfun.InvalidShapeForKind):
         symfun.det_formula("lemma2", StrictPartition((3, 2, 0)), 3)
+    with pytest.raises(
+        symfun.InvalidShapeForKind, match=r"exactly 2 parts, all positive, got \(3, 2, 0\)$"
+    ):
+        symfun.det_formula("lemma2", StrictPartition((3, 2, 0)), 2)
     with pytest.raises(symfun.InvalidShapeForKind):
         symfun.det_formula("lemma1", StrictPartition((2, 1)), 2)
     with pytest.raises(symfun.InvalidShapeForKind):
