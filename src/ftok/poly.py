@@ -17,17 +17,16 @@ carry into a neighbouring field raises :class:`ExponentOverflow` instead.
 ``Polynomial(terms)`` takes monomials written as tuples of
 ``(variable, exponent)`` pairs and packs them.
 
-A polynomial has a canonical text form (see :func:`canonical`) with a parser
-(:func:`parse`) such that ``parse(canonical(p)) == p``.
+A polynomial has a canonical text form (:func:`canonical`, rendered column by
+column) with a parser (:func:`parse`) such that ``parse(canonical(p)) == p``.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import struct
+import sys
 from collections.abc import Callable, Iterable, Mapping
-from operator import getitem, itemgetter
 
 FAMILIES = ("x", "y", "a", "t", "z", "alpha")
 _FAMILY_RANK = {f: r for r, f in enumerate(FAMILIES)}
@@ -38,7 +37,7 @@ _W = 16  # bits per exponent field
 _HALF = 1 << (_W - 1)
 _MASK = (1 << _W) - 1
 MAX_EXPONENT = _HALF - 1
-_FIELD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}[_W]  # struct code of one unsigned field
+_FIELD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}[_W]  # memoryview format of one unsigned field
 
 
 class NonSquareMatrix(ValueError):
@@ -400,30 +399,30 @@ def det(matrix) -> Polynomial:
 
 # -- canonical text form ------------------------------------------------
 
-class _Factors(dict):
-    """The factor entries of one variable, keyed by biased exponent ``e + _HALF``.
+class _SlotTable(dict):
+    """One slot's column table: biased field ``e + _HALF`` -> ``render(e)``,
+    filled on first use; the biased zero (variable absent) maps to ``absent``."""
 
-    An entry is ``(text, key, -e)`` with ``key = (position << _W) + _HALF - e``,
-    which orders factors by (position in word order, -e) as one int.  The
-    biased zero maps to the empty entry, which is false, so ``filter(None, ...)``
-    drops the variables a term lacks.
-    """
+    def __init__(self, render: Callable[[int], str | bytes], absent: str | bytes):
+        super().__init__({_HALF: absent})
+        self.render = render
 
-    __slots__ = ("name", "position")
-
-    def __init__(self, var: tuple[int, int], position: int):
-        super().__init__({_HALF: ()})
-        self.name = var_name(var)
-        self.position = position
-
-    def __missing__(self, v: int) -> tuple:
-        e = v - _HALF
-        text = self.name if e == 1 else f"{self.name}^{e}"
-        f = self[v] = (text, (self.position << _W) + _HALF - e, -e)
-        return f
+    def __missing__(self, v: int) -> str | bytes:
+        out = self[v] = self.render(v - _HALF)
+        return out
 
 
-_text, _key, _neg_e = itemgetter(0), itemgetter(1), itemgetter(2)
+@functools.cache
+def _slot_tables(s: int) -> tuple[_SlotTable, _SlotTable]:
+    """Slot ``s``'s text table (``"*x1^2"``) and key table (family rank, index
+    and ``_HALF - e`` in 1 + 4 + 2 big-endian bytes), kept for the process."""
+    rank, index = var = _slot_var(s)
+    name, word = "*" + var_name(var), ((rank << 32) + index) << _W
+    return (_SlotTable(lambda e: name if e == 1 else f"{name}^{e}", ""),
+            _SlotTable(lambda e: (word + _HALF - e).to_bytes(7, "big"), b""))
+
+
+_BLOCK_BYTES = 1 << 18  # size of one decode buffer; a block of terms fills it
 
 
 def canonical(p: Polynomial) -> str:
@@ -433,14 +432,16 @@ def canonical(p: Polynomial) -> str:
     (a higher power of an earlier variable first, a word before any longer
     word it begins); inside a term the factors run by printed name.
 
-    Every term is decoded by one ``struct`` unpack.  Adding ``bias``, which
-    holds ``_HALF`` in every field, turns each balanced field ``e`` into
-    ``e + _HALF`` in ``1 .. 2**16 - 1``, so no field borrows from the next
-    and the little-endian bytes of ``m + bias`` hold the fields as unsigned
-    words.  The format reads only the fields that some term uses and skips
-    the others as padding bytes.  One ``itemgetter`` then permutes the used
-    fields into printed-name order, so a term's factor texts come out ready
-    to join; its word is the sorted list of the factors' int keys.
+    The terms are decoded column by column, a block at a time.  Adding
+    ``bias``, which holds ``_HALF`` in every field, turns each balanced field
+    ``e`` into ``e + _HALF`` in ``1 .. 2**16 - 1``, so no field borrows.  The
+    native-order bytes of a block's ``m + bias`` go into one buffer, one cast
+    views it as unsigned fields and one strided slice per used slot gives
+    that slot's column, which the slot's tables map to factor texts and keys.
+    A term's sort key is ``top - (sum of its biased fields)`` as a fixed-width
+    big-endian prefix, then its factors' keys in variable order: as bytes it
+    orders like ``(-degree, (variable, -e), ...)``, a word before any longer
+    word it begins.  Distinct monomials have distinct keys, so no term is lost.
     """
     terms = p.terms
     if not terms:
@@ -450,38 +451,37 @@ def canonical(p: Polynomial) -> str:
     used = 0
     for m in terms:
         used |= (m + bias) ^ bias
-    used_fields = [bool((used >> (_W * s)) & _MASK) for s in range(nfields)]
-    pad = f"{_W // 8}x"
-    unpack = struct.Struct("<" + "".join([_FIELD_FORMAT if u else pad for u in used_fields])).unpack
-    variables = [_slot_var(s) for s in range(nfields) if used_fields[s]]
-    position = {v: pos for pos, v in enumerate(sorted(variables))}
-    order = sorted(range(len(variables)), key=lambda i: var_name(variables[i]))
-    tables = [_Factors(variables[i], position[variables[i]]) for i in order]
-    # itemgetter of one index returns a bare value; one field needs no permuting
-    permute = itemgetter(*order) if len(order) > 1 else None
-    nbytes = _W // 8 * nfields
-    rows = []
-    for m, c in terms.items():
-        fields = unpack((m + bias).to_bytes(nbytes, "little"))
-        if permute is not None:
-            fields = permute(fields)
-        factors = list(filter(None, map(getitem, tables, fields)))
-        body = "*".join(map(_text, factors))
-        mag = abs(c)
-        if not m:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        # keys are distinct, so the sort never compares past them
-        rows.append(((sum(map(_neg_e, factors)), *sorted(map(_key, factors))), c < 0, text))
-    rows.sort()
-    out = ["-" if rows[0][1] else "", rows[0][2]]
-    for _, neg, text in rows[1:]:
-        out.append(" - " if neg else " + ")
-        out.append(text)
-    return "".join(out)
+    slots = sorted((s for s in range(nfields) if (used >> (_W * s)) & _MASK), key=_slot_var)
+    if not slots:  # the constant term alone
+        return str(terms[_UNIT])
+    named = sorted(range(len(slots)), key=lambda i: var_name(_slot_var(slots[i])))
+    key_of = [_slot_tables(s)[1].__getitem__ for s in slots]
+    text_of = [_slot_tables(slots[i])[0].__getitem__ for i in named]
+    # big-endian bytes put field s of a term at nfields - 1 - s
+    columns = slots if sys.byteorder == "little" else [nfields - 1 - s for s in slots]
+    top = len(slots) * _MASK  # largest sum of biased fields, so top - sum >= 0
+    width, nbytes = (top.bit_length() + 7) // 8, _W // 8 * nfields
+    step = max(1, _BLOCK_BYTES // nbytes)  # terms per buffer
+    monos, coeffs = list(terms), list(terms.values())
+    # every term's text starts with its separator and coefficient, " + 1*x1"
+    heads = {c: f" - {-c}" if c < 0 else f" + {c}" for c in set(coeffs)}
+    rows: dict[bytes, str] = {}  # sort key -> text, for every term
+    for i in range(0, len(monos), step):
+        buf = b"".join([(m + bias).to_bytes(nbytes, sys.byteorder) for m in monos[i:i + step]])
+        fields = memoryview(buf).cast(_FIELD_FORMAT)
+        cols = [fields[c::nfields].tolist() for c in columns]
+        sums = list(map(sum, zip(*cols)))
+        prefix = {d: (top - d).to_bytes(width, "big") for d in set(sums)}
+        keys = map(b"".join, zip(map(prefix.__getitem__, sums), *map(map, key_of, cols)))
+        head_col = map(heads.__getitem__, coeffs[i:i + step])
+        texts = map("".join, zip(head_col, *map(map, text_of, map(cols.__getitem__, named))))
+        rows.update(zip(keys, texts))
+    out = "".join(map(rows.__getitem__, sorted(rows)))
+    del rows  # freed before the copies below, which lowers the peak
+    # a unit coefficient is not printed (only a coefficient follows a space),
+    # and the first term has no " + "
+    out = out.replace(" 1*", " ")
+    return "-" + out[3:] if out.startswith(" - ") else out[3:]
 
 
 _FACTOR_RE = re.compile(r"^([a-z]+?)(\d+)?(?:\^(-?\d+))?$")

@@ -212,18 +212,28 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     alphabet = _alphabet(kind, n)
     cells: dict = {}
 
-    def fill(pos: int) -> Iterator[Tableau]:
-        if pos == len(order):
-            yield Tableau(kind, shape, n, dict(cells))
-            return
-        i, j = order[pos]
-        for e in alphabet:
-            if _violation(kind, cells, i, j, e) is None:
-                cells[(i, j)] = e
-                yield from fill(pos + 1)
-                del cells[(i, j)]
+    def fill() -> Iterator[Tableau]:
+        # stack[pos] runs over the entries of cell order[pos], and an entry one
+        # past the last cell marks a complete filling; a loop, not a recursion,
+        # so a shape of any size needs no stack depth
+        stack = [iter(alphabet)]
+        while stack:
+            pos = len(stack) - 1
+            if pos == len(order):
+                yield Tableau(kind, shape, n, dict(cells))
+                stack.pop()
+                continue
+            i, j = order[pos]
+            cells.pop((i, j), None)
+            for e in stack[-1]:
+                if _violation(kind, cells, i, j, e) is None:
+                    cells[(i, j)] = e
+                    stack.append(iter(alphabet))
+                    break
+            else:
+                stack.pop()
 
-    return fill(0)
+    return fill()
 
 
 def cell_weight(kind: str, i: int, j: int, k: int, primed: bool) -> poly.Polynomial:

@@ -45,6 +45,16 @@ def test_enumerate_count_only(tmp_path, capsys):
     assert not (tmp_path / "cache").exists()
 
 
+def test_enumerate_needs_no_stack_depth(capsys):
+    # the cells are filled in a loop, so a shape with more cells than the
+    # interpreter's recursion limit still gives its one tableau
+    code, out, _ = run(
+        capsys, "enumerate", "--kind", "sst", "--shape", "1500", "--n", "1", "--count-only"
+    )
+    assert code == 0
+    assert out.strip() == "1"
+
+
 def test_enumerate_json_stream(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--kind", "shifted", "--shape", "2,1", "--n", "2"

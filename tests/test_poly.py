@@ -529,6 +529,62 @@ def test_canonical_constant_and_prefix_words():
     assert poly.canonical(q) == _oracle_canonical(_oracle_terms(q))
 
 
+# Indices past one byte: the key bytes of x255 and x256 differ in two bytes,
+# x3 < x255 by index but "x255" < "x3" by printed name, and a1000 makes each
+# packed term about 12 kB, so even a few dozen terms span several buffers.
+BYTE_VARS = [
+    poly.variable(f, i)
+    for f, i in (("x", 3), ("x", 255), ("x", 256), ("x", 300), ("y", 1), ("a", 1000))
+] + [poly.variable("t")]
+byte_monomials = st.dictionaries(st.sampled_from(BYTE_VARS), wide_exponents, max_size=4).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@given(st.dictionaries(byte_monomials, nonzero_coeffs, max_size=8))
+def test_canonical_matches_oracle_on_indices_past_one_byte(p):
+    P = poly.Polynomial(p)
+    text = poly.canonical(P)
+    assert text == _oracle_canonical(p)
+    assert poly.parse(text) == P
+
+
+def test_canonical_spans_several_buffers():
+    # 84 terms of about 12 kB packed each, and 2**14 terms of 172 bytes each
+    wide = poly.poly_sum([poly.ONE] + [poly.var_poly(v) for v in BYTE_VARS[1:]]) ** 3
+    binomials = poly.product(poly.x(i) + poly.y(i) for i in range(1, 15))
+    assert len(wide.terms) == 84 and len(binomials.terms) == 2**14
+    for p in (wide, binomials):
+        assert poly.canonical(p) == _oracle_canonical(_oracle_terms(p))
+
+
+def test_canonical_laurent_prefix_words():
+    x1, y3 = poly.x(1), poly.y(3)
+    inv = poly.var_poly(poly.variable("a", 300), -1)
+    # within one degree: a higher power of an earlier variable first, then a
+    # word before any longer word it begins (the empty word of a constant too)
+    cases = [
+        (x1 + x1 * y3 * inv, "x1 + a300^-1*x1*y3"),
+        (x1 * y3 * inv - x1 * y3, "-x1*y3 + a300^-1*x1*y3"),
+        (x1**2 * inv + x1 * y3 * inv**2 + x1, "a300^-1*x1^2 + x1 + a300^-2*x1*y3"),
+        (y3 * inv + x1 * inv - poly.ONE, "-1 + a300^-1*x1 + a300^-1*y3"),
+    ]
+    for p, text in cases:
+        assert poly.canonical(p) == text == _oracle_canonical(_oracle_terms(p))
+
+
+def test_canonical_tables_carry_nothing_between_calls():
+    # q meets the fields of p with other exponents, which fill new table
+    # entries; rendering p again must give its first text
+    x1, y3, a300 = poly.x(1), poly.y(3), poly.a(300)
+    p = x1**2 - poly.const(3) * x1 * y3 + poly.var_poly(poly.variable("a", 300), -2)
+    q = x1**5 * y3 - a300 * x1 + y3**2 * a300**3 - poly.const(7) * y3
+    first = poly.canonical(p)
+    assert first == _oracle_canonical(_oracle_terms(p))
+    assert poly.canonical(q) == _oracle_canonical(_oracle_terms(q))
+    assert poly.canonical(p) == first
+
+
 @pytest.mark.parametrize("mu", harness.partitions_up_to(3, 3), ids=str)
 def test_canonical_matches_oracle_on_cor6_sums(mu):
     # the six-vertex partition function and its product side are Laurent in a
