@@ -360,16 +360,17 @@ def _check_top(top: StrictPartition) -> None:
 def enumerate_gtp(top: StrictPartition):
     """All strict patterns with the given top row, in deterministic order."""
     _check_top(top)
-
-    def fill(rows_topdown):
-        upper = rows_topdown[-1]
-        if len(upper) == 1:
-            yield GTPattern(reversed(rows_topdown))
-            return
-        for lower in interlacing(upper, strict=True):
-            yield from fill(rows_topdown + [lower])
-
-    yield from fill([tuple(top.parts)])
+    rows = [tuple(top.parts)]  # top-down; stack[i] runs over the rows below rows[i], if any
+    stack = [interlacing(rows[0], strict=True)]
+    while stack:
+        if len(rows[-1]) == 1:
+            yield GTPattern(reversed(rows))
+        elif (lower := next(stack[-1], None)) is not None:
+            rows.append(lower)
+            stack.append(interlacing(lower, strict=True) if len(lower) > 1 else None)
+            continue
+        rows.pop()
+        stack.pop()
 
 
 def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynomial:
@@ -380,23 +381,25 @@ def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynom
     Row transfer: ``H(row) = sum_lower row_weight(len(row), row, lower) *
     H(lower)`` from ``H(()) = 1``, memoised on the row for this call only, so
     each row reachable from ``top`` is summed once however many chains pass
-    through it; a lower row of row weight 0 is skipped, never summed.  Each
-    ``H(row)`` is one :func:`poly.sum_of_products` call on the (row weight,
-    ``H(lower)``) pairs, so no product is built on its own.
+    through it; a lower row of row weight 0 is skipped, never summed.  One loop
+    over a stack of (row, its (row weight, lower row) pairs, its lower rows)
+    sums a lower row not in the memo first, so no chain needs stack depth, and
+    ``H(row)`` is one :func:`poly.sum_of_products` call on its pairs.
     """
     memo = {(): poly.ONE}
-
-    def h(row):
-        got = memo.get(row)
-        if got is None:
-            got = memo[row] = poly.sum_of_products(
-                (weight, h(lower))
-                for lower in interlacing(row, strict)
-                if (weight := row_weight(len(row), row, lower))
-            )
-        return got
-
-    return h(top)
+    stack = [(top, [], interlacing(top, strict))] if top else []
+    while stack:
+        row, pairs, lowers = stack[-1]
+        for lower in lowers:
+            if weight := row_weight(len(row), row, lower):
+                pairs.append((weight, lower))
+                if lower not in memo:
+                    stack.append((lower, [], interlacing(lower, strict)))
+                    break
+        else:
+            stack.pop()
+            memo[row] = poly.sum_of_products((w, memo[lower]) for w, lower in pairs)
+    return memo[top]
 
 
 def gt_row_sum(top: StrictPartition, row_weight) -> poly.Polynomial:

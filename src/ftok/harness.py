@@ -9,6 +9,7 @@ identity's domain raise ``BadParams``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 
@@ -326,16 +327,12 @@ def verify_identity(spec: IdentitySpec) -> IdentityReport:
 
 def partitions_up_to(max_weight: int, max_parts: int):
     """All partitions with weight <= max_weight and at most max_parts parts."""
-    out = [Partition()]
-
-    def grow(prefix, remaining, cap):
-        for part in range(min(remaining, cap), 0, -1):
-            if len(prefix) < max_parts:
-                cand = prefix + [part]
-                out.append(Partition(cand))
-                grow(cand, remaining - part, part)
-
-    grow([], max_weight, max_weight)
+    out = [
+        Partition(parts)
+        for k in range(max_parts + 1)
+        for parts in itertools.combinations_with_replacement(range(max_weight, 0, -1), k)
+        if sum(parts) <= max_weight
+    ]
     out.sort(key=lambda p: (p.weight(), p.parts))
     return out
 

@@ -2,7 +2,7 @@
 
 ``KINDS`` names every tableau sum: a kind is a factorial tableau sum and the
 ring map that specialises it (``a := 0`` for the plain kinds, ``y := x`` for
-Ikeda's factorial Q-function), applied to each strip of the row transfer.
+Ikeda's factorial Q-function), applied to each cell factor of each strip.
 The one-row building block is q_m over the paper's alphabets A(k, q):
 ``q_series(k, q, n, top)`` gives q_0..q_top in one pass over the letters of
 A(k, q).  The lemma 2 entries read A(k, k + 1), lemma 3 relates neighbouring
@@ -79,8 +79,8 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
     k rows, and ``kappa_k / kappa_(k-1)`` is the strip of the letter k.  So the
     sum is ``combin.row_transfer`` of ``tableaux.strip_sum`` down from the
     shape padded to n rows, over strict rows for the primed kinds.  A kind's
-    ring map is a homomorphism, so it is applied to each strip sum
-    (``_strip_sum``) before the row transfer multiplies them, never to the
+    ring map is a homomorphism, so it is applied to each cell factor of each
+    strip (``_strip_sum``) before their product expands, never to the
     finished sum.  The brute-force sum of ``tableaux.weight`` over
     ``tableaux.enumerate_tableaux``, with the ring map substituted afterwards,
     is its oracle.
@@ -103,14 +103,13 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
 
 @functools.cache
 def _strip_sum(kind: str, outer: tuple[int, ...], inner: tuple[int, ...]) -> poly.Polynomial:
-    """``tableaux.strip_sum`` of the kind's tableau kind under its ring map.
+    """``tableaux.strip_sum`` of the kind's tableau kind, its ring map on each cell.
 
     A strip depends only on the kind and its two rows, so the sums of one
     process share it: the strips below the top rows recur in every shape.
     """
     tkind, ring_map = KINDS[kind]
-    total = tableaux.strip_sum(tkind, outer, inner)
-    return total if ring_map is None else poly.substitute(total, ring_map)
+    return tableaux.strip_sum(tkind, outer, inner, ring_map)
 
 
 @functools.cache

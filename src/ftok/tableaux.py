@@ -278,9 +278,10 @@ def weight(t: Tableau) -> poly.Polynomial:
     return poly.product(factors)
 
 
-def strip_sum(kind: str, outer: tuple[int, ...], inner: tuple[int, ...]) -> poly.Polynomial:
+def strip_sum(kind: str, outer: tuple, inner: tuple, ring_map=None) -> poly.Polynomial:
     """Weighted sum over the fillings of the strip ``outer / inner`` by the
-    letter ``k = len(outer)`` (k and k' for the primed kinds).
+    letter ``k = len(outer)`` (k and k' for the primed kinds), ``ring_map`` (a
+    homomorphism), if any, substituted into each cell factor before the product.
 
     ``outer`` and ``inner`` are the row lengths of the cells holding entries
     ``<= k`` and ``<= k - 1``: a k-tuple and a (k-1)-tuple from
@@ -312,7 +313,7 @@ def strip_sum(kind: str, outer: tuple[int, ...], inner: tuple[int, ...]) -> poly
                 cell_weight(kind, i, j, k, True) + cell_weight(kind, i, j, k, False)
             )
         factors.extend(cell_weight(kind, i, jj, k, False) for jj in range(j + 1, i + hi))
-    return poly.product(factors)
+    return poly.product([poly.substitute(f, ring_map) for f in factors] if ring_map else factors)
 
 
 def sst_count(shape: Partition, n: int) -> int:

@@ -6,11 +6,18 @@ ring map is substituted into the finished brute-force sum.  The ranges follow
 the acceptance run.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from test_acceptance import _corollary_range, _main_range
 
 from ftok import combin, harness, poly, sixvertex, symfun, tableaux
 from ftok.shapes import Partition, shape_for
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # tableau kind -> (factorial kind, plain kind) of symfun
 _SUM_KINDS = {
@@ -121,3 +128,27 @@ def test_lemma4_row_transfer_matches_asm_enumeration(mu, n):
     lhs, rhs = harness._check_lemma4(mu, n)
     assert lhs == poly.poly_sum(poly.var_poly(tvar, c.count("SW") - c.count("NE")) for c in cpms)
     assert rhs == poly.const(len(cpms)) * poly.var_poly(tvar, mu.weight())
+
+
+def test_row_sums_have_no_depth_limit(tmp_path):
+    # row_transfer and enumerate_gtp walk an explicit stack, so a chain of 100
+    # rows runs under a recursion limit of 60, through the CLI too
+    code = (
+        "import sys\n"
+        "from ftok import cli, combin, paths, symfun\n"
+        "from ftok.shapes import Partition, StrictPartition\n"
+        "sys.setrecursionlimit(60)\n"
+        "one = Partition((1,))\n"
+        "got = symfun.tableau_sum('schur', one, 100)\n"
+        "assert len(got.terms) == 100, len(got.terms)\n"
+        "assert paths.row_sweep_sum('sst', one, 100) == symfun.tableau_sum('factorialSchur', one, 100)\n"
+        "g = next(combin.enumerate_gtp(StrictPartition(tuple(range(100, 0, -1)))))\n"
+        "assert len(g.rows) == 100, len(g.rows)\n"
+        "assert cli.main(['sf', '--kind', 'schur', '--shape', '1', '--n', '100']) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), FTOK_CACHE_DIR=str(tmp_path / "cache"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("x1 + x2 + "), result.stdout[:80]

@@ -25,9 +25,10 @@ def test_tracer_hooks_still_wrap():
     # one would otherwise show only under `perfbench/run.py --trace 1`.  The
     # path identities sum by a combin.row_transfer of path-leg weights, so
     # only the oracle nonintersecting_sum reaches the wrapped family enumerator.
+    # enumerate_asm iterates the wrapped enumerate_gtp: its 7 ASMs count once.
     code = (
         "import tracing\n"
-        "from ftok import harness, paths, tableaux\n"
+        "from ftok import combin, harness, paths, tableaux\n"
         "from ftok.shapes import StrictPartition\n"
         "rec = tracing.Recorder()\n"
         "tracing.install(rec)\n"
@@ -44,6 +45,9 @@ def test_tracer_hooks_still_wrap():
         "assert rec.counters['poly.mul.calls'] > 0, dict(rec.counters)\n"
         "assert rec.counters['paths.families.objects'] > 0, dict(rec.counters)\n"
         "assert rec.counters['tableaux.enumerate.objects'] > 0, dict(rec.counters)\n"
+        "before = rec.counters['combin.enumerate.objects']\n"
+        "assert sum(1 for _ in combin.enumerate_asm(StrictPartition((3, 2, 1)))) == 7\n"
+        "assert rec.counters['combin.enumerate.objects'] - before == 7, dict(rec.counters)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     result = subprocess.run(

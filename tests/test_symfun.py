@@ -114,6 +114,29 @@ def test_h_equals_q_on_staircase_alphabet(k, n, m):
 
 def test_tableau_sum_empty_shape():
     assert symfun.tableau_sum("factorialSchur", Partition(), 3) == poly.ONE
+    # the row transfer from the empty top row, n = 0
+    assert symfun.tableau_sum("schur", Partition(), 0) == poly.ONE
+
+
+def test_ring_map_applies_per_cell():
+    # a plain one-row sum maps each cell factor x1 + a_j to x1 before the
+    # product, so it never expands the 2^30 terms of the factorial strip; the
+    # child is killed at the timeout rather than filling memory
+    code = (
+        "from ftok import poly, symfun\n"
+        "from ftok.shapes import Partition, StrictPartition\n"
+        "m = 30\n"
+        "x1 = poly.x(1) ** m\n"
+        "assert symfun.tableau_sum('schur', Partition((m,)), 1) == x1\n"
+        "assert symfun.tableau_sum('bigP', StrictPartition((m,)), 1) == x1\n"
+        "want = x1 + poly.x(1) ** (m - 1) * poly.y(1)\n"
+        "assert symfun.tableau_sum('bigQ', StrictPartition((m,)), 1) == want\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_tableau_sum_examples():
