@@ -7,8 +7,10 @@ text, one file per request, under the FTOK_CACHE_DIR environment variable
 (default .ftok-cache/).  Every subcommand exits 2 with ``error: ...`` on
 stderr and nothing on stdout when its input is outside the domain (a bad
 shape, parameter, suite config or bijection input file); ``verify`` and
-``suite`` exit 0 on pass and 1 on a failed identity.  ``suite --json`` prints
-one report per line.
+``suite`` exit 0 on pass and 1 on a failed identity.  A request whose stdout
+is closed early (``ftok enumerate ... | head -1``) exits 141, as a filter killed
+by SIGPIPE does, with nothing on stderr.  ``suite --json`` prints one report
+per line.
 
 Each subcommand imports only the modules it runs, inside its ``_cmd_*``
 function, so a process loads (and, without cached bytecode, compiles) no more
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .shapes import parse_partition, parse_strict_partition
@@ -240,7 +243,13 @@ def main(argv=None) -> int:
         # Python 3.11's argparse drops the value of `--shape=--`, leaving []
         if any(isinstance(value, list) for value in vars(args).values()):
             raise ValueError("'--' is not a valid option value")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # inside the try, so a pipe closed by now is caught here
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # what a shell shows for a filter killed by SIGPIPE
     except ValueError as e:  # every ftok domain error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -325,21 +325,16 @@ def row_labels(row: tuple[int, ...], lower: tuple[int, ...]) -> list[str]:
     ]
 
 
-def _x_plus_a(i: int, k: int) -> poly.Polynomial:
-    # a_0 is taken as 0 here
-    return poly.x(i) if k == 0 else poly.x(i) + poly.a(k)
-
-
 def gtp_row_weight(i: int, row: tuple[int, ...], lower: tuple[int, ...]) -> poly.Polynomial:
     """The factors of ``weight_gtp`` that row i contributes, with row i - 1
     (``lower``, empty for the bottom row) beneath it."""
-    factors = [_x_plus_a(i, k) for k in range(row[-1])]
+    factors = [poly.x(i) + poly.a(k) for k in range(row[-1])]
     for top, mid, label in zip(row, lower, row_labels(row, lower)):
         if label == "B":
             factors.append(poly.x(i) + poly.y(i))
         elif label == "R":
-            factors.append(poly.y(i) if mid == 0 else poly.y(i) - poly.a(mid))
-        factors.extend(_x_plus_a(i, k) for k in range(mid + 1, top))
+            factors.append(poly.y(i) - poly.a(mid))
+        factors.extend(poly.x(i) + poly.a(k) for k in range(mid + 1, top))
     return poly.product(factors)
 
 

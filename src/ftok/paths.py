@@ -7,9 +7,9 @@ Two conventions are supported, keyed by the tableau kind they encode:
   t(i, ell) and ends in column n-i+ell+1; an H edge at row k ending in
   column j weighs x_k + a_{k+j-n-1}, V edges weigh 1.
 * ``pst``: path i runs from (i, 0) to (n+1, lambda_i) with H/V/D steps,
-  first step H and last step V.  The first H edge at row k weighs x_k; a
-  later H edge ending (k, c) weighs x_k + a_{c-1}; a D edge ending (k, c)
-  weighs y_k - a_{c-1}.
+  first step H and last step V.  An H edge ending (k, c) weighs
+  x_k + a_{c-1} and a D edge ending (k, c) weighs y_k - a_{c-1}, with
+  a_0 = 0: the first H edge, the only one ending in column 1, weighs x_k.
 
 Paths of a family may not share any lattice point.  The lattice-path sum
 (:func:`row_sweep_sum`) is a :func:`combin.row_transfer` of path-leg weights
@@ -162,10 +162,6 @@ def _edge_weight(kind: str, n: int, step: str, r: int, c: int) -> poly.Polynomia
         # path i starts at (i, n - i + 1) and only moves right or down, so
         # the a index r + c - n - 1 of an H edge ending at (r, c) is >= 1
         return poly.x(r) + poly.a(r + c - n - 1)
-    if c == 1:
-        # a pst path starts in column 0 with an H step: its first H edge
-        # is the only one ending in column 1
-        return poly.x(r)
     return poly.x(r) + poly.a(c - 1)
 
 

@@ -226,7 +226,7 @@ def y(i: int) -> Polynomial:
 
 
 def a(j: int) -> Polynomial:
-    return var_poly(variable("a", j))
+    return var_poly(variable("a", j)) if j else ZERO  # the paper's weights take a_0 = 0
 
 
 def t() -> Polynomial:

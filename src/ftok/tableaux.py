@@ -240,14 +240,12 @@ def cell_weight(kind: str, i: int, j: int, k: int, primed: bool) -> poly.Polynom
     """Weight of the entry k (k' when ``primed``) in cell (i, j) of an sst or
     primed tableau.
 
-    sst: x_k + a_{k+j-i}.  Primed kinds: x_k (k on the diagonal), y_k (k' on
-    the diagonal, Q class only), x_k + a_{j-i} and y_k - a_{j-i} off the
-    diagonal.
+    sst: x_k + a_{k+j-i}.  Primed kinds: x_k + a_{j-i} for k and
+    y_k - a_{j-i} for k', with a_0 = 0, so x_k or y_k on the diagonal (k'
+    there only in the Q class).
     """
     if kind == "sst":
         return poly.x(k) + poly.a(k + j - i)
-    if i == j:
-        return poly.y(k) if primed else poly.x(k)
     if primed:
         return poly.y(k) - poly.a(j - i)
     return poly.x(k) + poly.a(j - i)

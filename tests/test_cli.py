@@ -237,6 +237,17 @@ def test_suite_with_config(tmp_path, capsys):
     assert lines[-1] == "2/2 identities verified"
 
 
+def test_default_suite(capsys):
+    from ftok import harness
+
+    code, out, _ = run(capsys, "suite")
+    assert code == 0
+    lines = out.splitlines()
+    assert any(line.startswith("PASS theorem1P[mu=(), n=1] (") for line in lines)
+    n = len(harness.default_suite())
+    assert lines[-1] == f"{n}/{n} identities verified"
+
+
 def test_suite_bad_config(tmp_path, capsys):
     cfg = tmp_path / "suite.json"
     cfg.write_text("{]")
@@ -273,6 +284,16 @@ BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never write
 }
 
 
+# inputs whose check no other case reaches, with the text of that check's error
+ERROR_TEXT = {
+    "bijection --from gtp --to asm --input empty-rows.json": "empty pattern",
+    "bijection --from gtp --to asm --input negative-entry.json": "not a nonnegative integer",
+    "bijection --from asm --to gtp --input wide-asm.json": "rows must have 1 columns",
+    "bijection --from shifted --to gtp --input sst-as-shifted.json": "expected a shifted tableau",
+    "suite --config mu-list.json": "must be a Partition",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -306,6 +327,7 @@ BAD_CELL_ROWS = {  # cell texts that int() reads, but str(CellEntry) never write
         "verify --id lemma1 --mu 1 --m 7 --n 2",
         "verify --id nope --mu 1 --n 2",
     ]
+    + list(ERROR_TEXT)
     + [f"bijection --from shifted --to gtp --input cell-{name}.json" for name in BAD_CELL_ROWS],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
@@ -321,6 +343,11 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     )
     (tmp_path / "float-part.json").write_text('{"entries": [[1]], "shape": [1.5]}')
     (tmp_path / "bool-entry.json").write_text('{"entries": [[true]], "shape": [1]}')
+    (tmp_path / "empty-rows.json").write_text('{"rows": []}')
+    (tmp_path / "negative-entry.json").write_text('{"rows": [[-1]]}')
+    (tmp_path / "wide-asm.json").write_text('{"entries": [[1, 0]], "shape": [1]}')
+    (tmp_path / "sst-as-shifted.json").write_text(shifted.replace('"shifted"', '"sst"') % "2")
+    (tmp_path / "mu-list.json").write_text('[{"id": "theorem1P", "mu": [2, 1], "n": 3}]')
     for name, rows in BAD_CELL_ROWS.items():
         data = {"kind": "shifted", "shape": [2, 1], "n": 2, "rows": rows}
         (tmp_path / f"cell-{name}.json").write_text(json.dumps(data))
@@ -328,6 +355,7 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    assert ERROR_TEXT.get(argv, "") in err
     assert not (tmp_path / "cache").exists()
 
 
@@ -350,6 +378,21 @@ def test_module_entry_bad_input_exits_2():
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    proc = subprocess.Popen(
+        # about 600 kB of output, more than a pipe holds, so the writer meets the closed end
+        [sys.executable, "-m", "ftok.cli", "enumerate", "--kind", "sst", "--shape", "5,4", "--n", "6"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline().startswith('{"kind": "sst"')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, "")
 
 
 _RUN_CLI = """

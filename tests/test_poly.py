@@ -36,6 +36,12 @@ def test_variable_validation():
     poly.variable("a", 0)  # a0 is legal
 
 
+def test_a0_is_zero():
+    # the paper's weights take a_0 = 0, and every weight reads a_j from poly.a
+    assert poly.a(0) == poly.ZERO
+    assert poly.x(1) + poly.a(0) == poly.x(1)
+
+
 def test_add_disjoint_monomials():
     assert poly.canonical(poly.x(1) + poly.t() * poly.x(2)) == "t*x2 + x1"
 

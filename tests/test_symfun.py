@@ -246,5 +246,6 @@ def test_factorial_schur_symmetric_in_x1_x2(mu):
 )
 def test_a0_independence(kind, shape):
     s = symfun.tableau_sum(kind, shape, 3)
-    # equal exactly when no term has an a0 factor; a negative power would raise
+    # poly.a(0) is ZERO, so no weight builds the kernel field a0: equal exactly
+    # when no term has an a0 factor; a negative power would raise
     assert poly.substitute(s, {poly.variable("a", 0): poly.ZERO}) == s
