@@ -6,11 +6,11 @@ owning modules.  ``sf`` tableau sums are cached by ``sfcache`` as canonical
 text, one file per request, under the FTOK_CACHE_DIR environment variable
 (default .ftok-cache/).  Every subcommand exits 2 with ``error: ...`` on
 stderr and nothing on stdout when its input is outside the domain (a bad
-shape, parameter, suite config or bijection input file); ``verify`` and
-``suite`` exit 0 on pass and 1 on a failed identity.  A request whose stdout
-is closed early (``ftok enumerate ... | head -1``) exits 141, as a filter killed
-by SIGPIPE does, with nothing on stderr.  ``suite --json`` prints one report
-per line.
+shape, parameter, suite config or bijection input file, or an integer too
+large to index with); ``verify`` and ``suite`` exit 0 on pass and 1 on a
+failed identity.  A request whose stdout is closed early (``ftok enumerate
+... | head -1``) exits 141, as a filter killed by SIGPIPE does, with nothing
+on stderr.  ``suite --json`` prints one report per line.
 
 Each subcommand imports only the modules it runs, inside its ``_cmd_*``
 function, so a process loads (and, without cached bytecode, compiles) no more
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
         # the reader closed stdout: send the interpreter's exit flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # what a shell shows for a filter killed by SIGPIPE
-    except ValueError as e:  # every ftok domain error is a ValueError
+    except (ValueError, OverflowError) as e:  # a domain error, or an integer too large to index with
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ Boltzmann weight tables that ``BoltzmannTable`` accepts.
 from __future__ import annotations
 
 from . import poly, tableaux
-from .shapes import FrozenValue, StrictPartition, interlacing, is_int
+from .shapes import FrozenValue, StrictPartition, depth_first, interlacing, is_int
 from .tableaux import CellEntry, InvalidTableau, Tableau
 
 CPM_LETTERS = ("WE", "NS", "NE", "SE", "NW", "SW")
@@ -353,19 +353,14 @@ def _check_top(top: StrictPartition) -> None:
 
 
 def enumerate_gtp(top: StrictPartition):
-    """All strict patterns with the given top row, in deterministic order."""
+    """All strict patterns with the given top row, in decreasing lexicographic order of rows."""
     _check_top(top)
-    rows = [tuple(top.parts)]  # top-down; stack[i] runs over the rows below rows[i], if any
-    stack = [interlacing(rows[0], strict=True)]
-    while stack:
-        if len(rows[-1]) == 1:
-            yield GTPattern(reversed(rows))
-        elif (lower := next(stack[-1], None)) is not None:
-            rows.append(lower)
-            stack.append(interlacing(lower, strict=True) if len(lower) > 1 else None)
-            continue
-        rows.pop()
-        stack.pop()
+
+    def lowers(rows):  # rows: the top row, then the rows below it so far
+        return interlacing(rows[-1], strict=True) if rows else [tuple(top.parts)]
+
+    for rows in depth_first(lowers, lambda rows: len(rows) > 0 and len(rows[-1]) == 1):
+        yield GTPattern(reversed(rows))
 
 
 def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynomial:

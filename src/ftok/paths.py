@@ -23,7 +23,7 @@ import functools
 from collections.abc import Iterator
 
 from . import combin, poly, tableaux
-from .shapes import FrozenValue, Partition, StrictPartition
+from .shapes import FrozenValue, Partition, StrictPartition, depth_first
 from .tableaux import CellEntry, InvalidTableau, Tableau
 
 
@@ -173,48 +173,37 @@ def paths_weight(f: PathFamily) -> poly.Polynomial:
 
 
 def _free_paths(kind: str, shape, n: int, i: int) -> list[LatticePath]:
-    """All monotone paths for endpoint pair i obeying the step grammar."""
+    """All monotone paths for endpoint pair i obeying the step grammar, steps in lex order H < V < D."""
     start, end = _endpoints(kind, shape, n, i)
     moves = "HVD" if kind == "pst" else "HV"
-    out: list[LatticePath] = []
 
-    def go(r, c, steps):
-        if (r, c) == end:
-            if steps.endswith("V"):
-                out.append(LatticePath(start, steps))
-            return
-        if r > end[0] or c > end[1]:
-            return
-        for s in "H" if kind == "pst" and not steps else moves:
+    def steps(walk):  # walk: the (step, row, column) of each step so far
+        _, r, c = walk[-1] if walk else ("", *start)
+        for s in "H" if kind == "pst" and not walk else moves:
             dr, dc = STEPS[s]
-            go(r + dr, c + dc, steps + s)
+            # a path stays in the box up to its end and reaches the end by V
+            if r + dr <= end[0] and c + dc <= end[1] and (s == "V" or (r + dr, c + dc) != end):
+                yield s, r + dr, c + dc
 
-    go(start[0], start[1], "")
-    return out
+    walks = depth_first(steps, lambda walk: len(walk) > 0 and walk[-1][1:] == end)
+    return [LatticePath(start, "".join(s for s, _, _ in walk)) for walk in walks]
 
 
 def nonintersecting_families(kind: str, shape, n: int) -> Iterator[PathFamily]:
-    """Families matching start i with end i, pairwise point-disjoint."""
-    per_pair = [
-        [(path, path.points()) for path in _free_paths(kind, shape, n, i)]
-        for i in range(1, n + 1)
-    ]
-    chosen: list[LatticePath] = []
-    used: set[tuple[int, int]] = set()
+    """Families matching start i with end i, pairwise point-disjoint, in
+    lexicographic order of their steps, path by path."""
+    per_pair = [[(p, set(p.points())) for p in _free_paths(kind, shape, n, i)] for i in range(1, n + 1)]
 
-    def pick(i: int) -> Iterator[PathFamily]:
-        if i == n:
-            yield PathFamily(kind, n, shape, list(chosen))
-            return
-        for path, pts in per_pair[i]:
-            if used.isdisjoint(pts):
-                chosen.append(path)
-                used.update(pts)
-                yield from pick(i + 1)
-                chosen.pop()
-                used.difference_update(pts)
+    def paths(chosen):  # chosen: the (path, its points) of paths 1..len(chosen)
+        return (
+            (path, pts) for path, pts in per_pair[len(chosen)]
+            if all(pts.isdisjoint(other) for _, other in chosen)
+        )
 
-    return pick(0)
+    return (
+        PathFamily(kind, n, shape, [path for path, _ in chosen])
+        for chosen in depth_first(paths, lambda chosen: len(chosen) == n)
+    )
 
 
 def nonintersecting_sum(kind: str, shape, n: int) -> poly.Polynomial:

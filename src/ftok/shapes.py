@@ -186,6 +186,29 @@ def interlacing(upper: tuple[int, ...], strict: bool) -> Iterator[tuple[int, ...
     return rows
 
 
+def depth_first(options, done) -> Iterator[list]:
+    """Every sequence grown from ``[]`` one item of ``options(seq)`` at a time
+    until ``done(seq)``, in depth-first order, each complete one yielded as a
+    new list.  One loop over a stack of iterators, so no length needs stack
+    depth.  An ``options`` iterator may read the live ``seq`` lazily: it only
+    advances while ``seq`` holds what it held when ``options`` made it."""
+    seq: list = []
+    stack = [] if done(seq) else [iter(options(seq))]
+    if not stack:
+        yield []
+    while stack:
+        for item in stack[-1]:
+            seq.append(item)
+            if not done(seq):
+                stack.append(iter(options(seq)))
+                break
+            yield seq.copy()
+            seq.pop()
+        else:
+            stack.pop()
+            del seq[-1:]  # the item whose options ran out; none at the root
+
+
 def young_cells(shape: Partition) -> list[tuple[int, int]]:
     """Cells (i, j) of the Young diagram, 1-based, row-major."""
     return [

@@ -18,7 +18,8 @@ import re
 from collections.abc import Iterator
 
 from . import poly
-from .shapes import FrozenValue, Partition, StrictPartition, conjugate, is_int, shifted_cells, young_cells
+from .shapes import (FrozenValue, Partition, StrictPartition, conjugate, depth_first, is_int,
+                     shifted_cells, young_cells)
 
 # tableau kind -> (shape class, the diagram's cells, whether entries may be primed)
 KINDS = {
@@ -108,6 +109,8 @@ class Tableau(FrozenValue):
             kind = data["kind"]
             klass, diagram, _ = _kind(kind)
             shape = klass(data["shape"])
+            if not all(isinstance(r, list) for r in [data["rows"], *data["rows"]]):
+                raise InvalidTableau("tableau rows must be lists of cell texts")
             cells = {}
             for i, row in enumerate(data["rows"], start=1):
                 offset = i if diagram is shifted_cells else 1
@@ -212,28 +215,17 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     alphabet = _alphabet(kind, n)
     cells: dict = {}
 
-    def fill() -> Iterator[Tableau]:
-        # stack[pos] runs over the entries of cell order[pos], and an entry one
-        # past the last cell marks a complete filling; a loop, not a recursion,
-        # so a shape of any size needs no stack depth
-        stack = [iter(alphabet)]
-        while stack:
-            pos = len(stack) - 1
-            if pos == len(order):
-                yield Tableau(kind, shape, n, dict(cells))
-                stack.pop()
-                continue
-            i, j = order[pos]
-            cells.pop((i, j), None)
-            for e in stack[-1]:
-                if _violation(kind, cells, i, j, e) is None:
-                    cells[(i, j)] = e
-                    stack.append(iter(alphabet))
-                    break
-            else:
-                stack.pop()
+    def entries(filled):
+        i, j = order[len(filled)]
+        for e in alphabet:
+            if _violation(kind, cells, i, j, e) is None:
+                cells[(i, j)] = e  # left set on backing out: _violation reads only earlier cells
+                yield e
 
-    return fill()
+    return (
+        Tableau(kind, shape, n, dict(zip(order, filled)))
+        for filled in depth_first(entries, lambda filled: len(filled) == len(order))
+    )
 
 
 def cell_weight(kind: str, i: int, j: int, k: int, primed: bool) -> poly.Polynomial:

@@ -291,6 +291,9 @@ ERROR_TEXT = {
     "bijection --from asm --to gtp --input wide-asm.json": "rows must have 1 columns",
     "bijection --from shifted --to gtp --input sst-as-shifted.json": "expected a shifted tableau",
     "suite --config mu-list.json": "must be a Partition",
+    # a string row would otherwise read as one cell per character
+    "bijection --from shifted --to gtp --input string-rows.json": "rows must be lists",
+    "bijection --from shifted --to gtp --input string-row-list.json": "rows must be lists",
 }
 
 
@@ -326,6 +329,11 @@ ERROR_TEXT = {
         "verify --id lemma2 --lambda 3,2,0 --n 2",
         "verify --id lemma1 --mu 1 --m 7 --n 2",
         "verify --id nope --mu 1 --n 2",
+        # an n too large for an index: OverflowError, raised before any work
+        "verify --id theorem1P --mu 1 --n 99999999999999999999",
+        "sf --kind schur --shape 1 --n 99999999999999999999",
+        "sf --kind lemma1-det --shape 1 --n 99999999999999999999",
+        "zfunc --variant bmn --mu 1 --n 99999999999999999999",
     ]
     + list(ERROR_TEXT)
     + [f"bijection --from shifted --to gtp --input cell-{name}.json" for name in BAD_CELL_ROWS],
@@ -348,6 +356,10 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "wide-asm.json").write_text('{"entries": [[1, 0]], "shape": [1]}')
     (tmp_path / "sst-as-shifted.json").write_text(shifted.replace('"shifted"', '"sst"') % "2")
     (tmp_path / "mu-list.json").write_text('[{"id": "theorem1P", "mu": [2, 1], "n": 3}]')
+    (tmp_path / "string-row-list.json").write_text(
+        '{"kind": "shifted", "shape": [2, 1], "n": 2, "rows": ["11", "2"]}'
+    )
+    (tmp_path / "string-rows.json").write_text('{"kind": "shifted", "shape": [1], "n": 1, "rows": "1"}')
     for name, rows in BAD_CELL_ROWS.items():
         data = {"kind": "shifted", "shape": [2, 1], "n": 2, "rows": rows}
         (tmp_path / f"cell-{name}.json").write_text(json.dumps(data))

@@ -6,6 +6,7 @@ ring map is substituted into the finished brute-force sum.  The ranges follow
 the acceptance run.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -131,8 +132,9 @@ def test_lemma4_row_transfer_matches_asm_enumeration(mu, n):
 
 
 def test_row_sums_have_no_depth_limit(tmp_path):
-    # row_transfer and enumerate_gtp walk an explicit stack, so a chain of 100
-    # rows runs under a recursion limit of 60, through the CLI too
+    # row_transfer and the enumerators walk an explicit stack, so a chain of
+    # 100 rows, or a family of 100 paths, runs under a recursion limit of 60,
+    # through the CLI too; with mu = () each path weighs 1
     code = (
         "import sys\n"
         "from ftok import cli, combin, paths, symfun\n"
@@ -144,6 +146,8 @@ def test_row_sums_have_no_depth_limit(tmp_path):
         "assert paths.row_sweep_sum('sst', one, 100) == symfun.tableau_sum('factorialSchur', one, 100)\n"
         "g = next(combin.enumerate_gtp(StrictPartition(tuple(range(100, 0, -1)))))\n"
         "assert len(g.rows) == 100, len(g.rows)\n"
+        "empty = Partition()\n"
+        "assert paths.nonintersecting_sum('sst', empty, 100) == paths.row_sweep_sum('sst', empty, 100)\n"
         "assert cli.main(['sf', '--kind', 'schur', '--shape', '1', '--n', '100']) == 0\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), FTOK_CACHE_DIR=str(tmp_path / "cache"))
@@ -152,3 +156,30 @@ def test_row_sums_have_no_depth_limit(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("x1 + x2 + "), result.stdout[:80]
+
+
+def _self_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call, in a function's body, of that function's
+    own name as a plain name."""
+    return [
+        (call.lineno, func.name)
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == func.name
+    ]
+
+
+def test_no_function_in_ftok_calls_itself():
+    # north star 3: no request may depend on the recursion limit, so no
+    # function of ftok recurses; a search walks an explicit stack
+    # (shapes.depth_first or combin.row_transfer) instead
+    assert _self_calls("def f(n):\n    return f(n - 1) if n else 0\n") == [(2, "f")]
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted((ROOT / "src" / "ftok").glob("*.py"))
+        for line, name in _self_calls(path.read_text())
+    ]
+    assert found == []

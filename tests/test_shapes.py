@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -11,6 +12,7 @@ from ftok.shapes import (
     Partition,
     StrictPartition,
     conjugate,
+    depth_first,
     parse_partition,
     parse_strict_partition,
     shape_for,
@@ -106,6 +108,49 @@ def test_cells():
     assert young_cells(Partition((2, 0))) == [(1, 1), (1, 2)]
     assert shifted_cells(StrictPartition((2, 1))) == [(1, 1), (1, 2), (2, 2)]
     assert shifted_cells(StrictPartition((3, 1, 0))) == [(1, 1), (1, 2), (1, 3), (2, 2)]
+
+
+def test_depth_first():
+    assert list(depth_first(lambda seq: (0, 1), lambda seq: len(seq) == 3)) == [
+        list(bits) for bits in itertools.product((0, 1), repeat=3)
+    ]
+    assert list(depth_first(lambda seq: (0, 1), lambda seq: True)) == [[]]
+    assert list(depth_first(lambda seq: (), lambda seq: False)) == []
+    # an options iterator may read the live sequence lazily
+    def above_last(seq):
+        return (k for k in range(4) if not seq or k > seq[-1])
+
+    pairs = depth_first(above_last, lambda seq: len(seq) == 2)
+    assert list(pairs) == [list(pair) for pair in itertools.combinations(range(4), 2)]
+    # a loop, not a recursion: a sequence far longer than the recursion limit
+    long = list(depth_first(lambda seq: (len(seq),), lambda seq: len(seq) == 5000))
+    assert long == [list(range(5000))]
+
+
+def test_enumeration_orders():
+    # each enumerator runs in the order its docstring promises, and strictly, so
+    # no object comes twice
+    def strictly(keys, reverse=False):
+        return len(keys) > 1 and keys == sorted(set(keys), reverse=reverse)
+
+    for kind, shape, n in (
+        ("sst", Partition((3, 2)), 3),
+        ("shifted", StrictPartition((3, 1)), 3),
+        ("primedP", StrictPartition((3, 1)), 2),
+        ("primedQ", StrictPartition((3, 2)), 2),
+    ):
+        # ascending in the sort keys of the entries, in row-major cell order
+        tabs = tableaux.enumerate_tableaux(kind, shape, n)
+        assert strictly([tuple(e.sort_key for _, e in t.cells) for t in tabs]), kind
+    for top in ((4, 2, 1), (5, 3, 2, 0)):
+        # decreasing lexicographic in the rows, top-down
+        patterns = combin.enumerate_gtp(StrictPartition(top))
+        assert strictly([g.rows[::-1] for g in patterns], reverse=True), top
+    rank = str.maketrans("HVD", "012")
+    for kind, shape, n in (("sst", Partition((2, 1)), 3), ("pst", StrictPartition((3, 2, 1)), 3)):
+        # lexicographic in the steps, H < V < D, path by path
+        families = paths.nonintersecting_families(kind, shape, n)
+        assert strictly([tuple(p.steps.translate(rank) for p in f.paths) for f in families]), kind
 
 
 # A maker of one instance of each immutable value class, and its repr: the
