@@ -7,7 +7,9 @@ and ``rows[n-1]`` is the top row (the shape).  ASM rows run top-down, so ASM
 row i pairs with pattern rows i and i-1.  ``cpm_row`` is the one rule for row
 i of the ice: ``asm_from_gtp`` and ``cpm_from_asm`` read every row through it,
 and ``asm_from_cpm`` maps its letters to ASM entries.  ``VARIANTS`` lists the
-Boltzmann weight tables that ``BoltzmannTable`` accepts.
+Boltzmann weight tables that ``BoltzmannTable`` accepts.  The pattern row
+weights, ``gtp_row_weight`` and Tokuyama's ``tokuyama_row_weight``, both read
+a row's ``row_labels``.
 """
 
 from __future__ import annotations
@@ -338,6 +340,17 @@ def gtp_row_weight(i: int, row: tuple[int, ...], lower: tuple[int, ...]) -> poly
     return poly.product(factors)
 
 
+def tokuyama_row_weight(i: int, row: tuple[int, ...], lower: tuple[int, ...]) -> poly.Polynomial:
+    """Tokuyama's weight of pattern row i over ``lower``: t^#R (1 + t)^#B
+    over the row's labels, times x_i^(|row| - |lower|)."""
+    labels = row_labels(row, lower)
+    return (
+        poly.var_poly(poly.variable("t"), labels.count("R"))
+        * (poly.ONE + poly.t()) ** labels.count("B")
+        * poly.var_poly(poly.variable("x", i), sum(row) - sum(lower))
+    )
+
+
 def weight_gtp(g: GTPattern) -> poly.Polynomial:
     validate_gtp(g)
     rows = ((),) + g.rows
@@ -347,8 +360,9 @@ def weight_gtp(g: GTPattern) -> poly.Polynomial:
 # -- enumeration --------------------------------------------------------
 
 def _check_top(top: StrictPartition) -> None:
-    n = len(top.parts)
-    if n == 0 or top.length() < n - 1:
+    # a StrictPartition has at most one zero part, its last, so every
+    # nonempty one is a top row
+    if not top.parts:
         raise InvalidShape(f"top row {top.parts} is not a valid shape")
 
 

@@ -1,5 +1,8 @@
 """Identity verification: specs, reports and the serial suite runner.
 
+This module holds only the identity specs and reports, the parameter domain
+(``_resolve``), one check per identity that composes the owning modules, and
+the default suite, one table of blocks (``SUITE_BLOCKS``) read by one loop.
 Every check computes both sides through the owning modules, and a report
 passes when the two sides have the same terms, which is exactly when their
 canonical forms are equal, so term order can never produce a false failure;
@@ -179,20 +182,14 @@ def _check_lemma3b(m: int, p: int, q: int, n: int):
 
 def _check_lemma4(mu: Partition, n: int):
     # encoded as polynomials: sum of t^(#SW - #NE) over the compass point
-    # matrices of shape mu + delta against count * t^|mu|.  Row i of a matrix
-    # is fixed by pattern rows i - 1 and i (combin.cpm_row), so the lhs is a
-    # row transfer over the patterns.  Its coefficients sum to the count, and
-    # lhs == count * t^|mu| exactly when every matrix has #SW - #NE = |mu|;
-    # combin.enumerate_asm is the oracle of the count.
-    lam = shape_for(mu, n, "delta")
-    width = lam.breadth()
+    # matrices of shape mu + delta against count * t^|mu|, the lhs being the
+    # ice sum of that statistic row by row.  Its coefficients sum to the
+    # count, and lhs == count * t^|mu| exactly when every matrix has
+    # #SW - #NE = |mu|; combin.enumerate_asm is the oracle of the count.
     tvar = poly.variable("t")
-
-    def compass_weight(i: int, row: tuple, lower: tuple) -> poly.Polynomial:
-        letters = combin.cpm_row(lower, row, width)
-        return poly.var_poly(tvar, letters.count("SW") - letters.count("NE"))
-
-    lhs = combin.gt_row_sum(lam, compass_weight)
+    lhs = sixvertex.ice_sum(
+        mu, n, lambda letters, i: poly.var_poly(tvar, letters.count("SW") - letters.count("NE"))
+    )
     rhs = poly.const(sum(lhs.terms.values())) * poly.var_poly(tvar, mu.weight())
     return lhs, rhs
 
@@ -219,18 +216,8 @@ def _check_cor3(mu: Partition, n: int):
     return lhs, rhs
 
 
-def _tokuyama_row_weight(i: int, row: tuple, lower: tuple) -> poly.Polynomial:
-    # t^#R (1 + t)^#B over the row's triples, times x_i^(|row| - |lower|)
-    labels = combin.row_labels(row, lower)
-    return (
-        poly.var_poly(poly.variable("t"), labels.count("R"))
-        * (poly.ONE + poly.t()) ** labels.count("B")
-        * poly.var_poly(poly.variable("x", i), sum(row) - sum(lower))
-    )
-
-
 def _check_cor4(mu: Partition, n: int):
-    lhs = combin.gt_row_sum(shape_for(mu, n, "rho"), _tokuyama_row_weight)
+    lhs = combin.gt_row_sum(shape_for(mu, n, "rho"), combin.tokuyama_row_weight)
     rhs = (
         symfun.vandermonde(n, lambda i, j: poly.x(i) + poly.t() * poly.x(j))
         * symfun.tableau_sum("schur", mu.normalized(), n)
@@ -337,51 +324,40 @@ def partitions_up_to(max_weight: int, max_parts: int):
     return out
 
 
+# The default suite as blocks of (identities, ((n, largest |mu|), ...)): each
+# identity of a block is checked at each of its n over partitions_up_to(largest
+# |mu|, n).  Lemma 3's (m, p, q) specs come after the first block.
+SUITE_BLOCKS = (
+    (("theorem1P", "theorem1Q", "lemma1", "lemma2"), ((1, 4), (2, 4), (3, 4), (4, 1))),
+    (("lemma4", "cor1_ikeda", "cor2_asm", "cor3_gtp", "cor4_tokuyama", "cor5_bmn",
+      "cor6_lascoux", "pathsLemma1"), ((1, 3), (2, 3), (3, 3))),
+    (("cor1_ikeda",), ((4, 2), (5, 1))),
+    (("lemma4",), ((4, 1), (5, 1), (6, 1))),
+    (("pathsLemma2",), ((1, 2), (2, 2), (3, 2))),
+    (("pathsLemma1", "pathsLemma2"), ((4, 1), (5, 1))),
+)
+
+
 def default_suite() -> list[IdentitySpec]:
-    specs = []
-    for ident in ("theorem1P", "theorem1Q", "lemma1", "lemma2"):
-        for n in (1, 2, 3):
-            for mu in partitions_up_to(4, n):
-                specs.append(IdentitySpec(ident, {"mu": mu, "n": n}))
-        for mu in (Partition(), Partition((1,))):
-            specs.append(IdentitySpec(ident, {"mu": mu, "n": 4}))
+    def block_specs(blocks):
+        return [
+            IdentitySpec(ident, {"mu": mu, "n": n})
+            for idents, ranges in blocks
+            for ident in idents
+            for n, largest in ranges
+            for mu in partitions_up_to(largest, n)
+        ]
+
+    lemma3 = []
     for n in range(2, 5):
         for p in range(1, n):
-            for m in range(1, 4):
-                specs.append(IdentitySpec("lemma3a", {"m": m, "p": p, "n": n}))
-            for q in range(p + 1, n + 1):
-                for m in range(1, 4):
-                    specs.append(
-                        IdentitySpec("lemma3b", {"m": m, "p": p, "q": q, "n": n})
-                    )
-    for ident in (
-        "lemma4",
-        "cor1_ikeda",
-        "cor2_asm",
-        "cor3_gtp",
-        "cor4_tokuyama",
-        "cor5_bmn",
-        "cor6_lascoux",
-        "pathsLemma1",
-    ):
-        for n in (1, 2, 3):
-            for mu in partitions_up_to(3, n):
-                specs.append(IdentitySpec(ident, {"mu": mu, "n": n}))
-    for mu in partitions_up_to(2, 4):
-        specs.append(IdentitySpec("cor1_ikeda", {"mu": mu, "n": 4}))
-    for mu in partitions_up_to(1, 5):
-        specs.append(IdentitySpec("cor1_ikeda", {"mu": mu, "n": 5}))
-    for n in (4, 5, 6):
-        for mu in partitions_up_to(1, n):
-            specs.append(IdentitySpec("lemma4", {"mu": mu, "n": n}))
-    for n in (1, 2, 3):
-        for mu in partitions_up_to(2, n):
-            specs.append(IdentitySpec("pathsLemma2", {"mu": mu, "n": n}))
-    for ident in ("pathsLemma1", "pathsLemma2"):
-        for n in (4, 5):
-            for mu in partitions_up_to(1, n):
-                specs.append(IdentitySpec(ident, {"mu": mu, "n": n}))
-    return specs
+            lemma3 += [IdentitySpec("lemma3a", {"m": m, "p": p, "n": n}) for m in range(1, 4)]
+            lemma3 += [
+                IdentitySpec("lemma3b", {"m": m, "p": p, "q": q, "n": n})
+                for q in range(p + 1, n + 1)
+                for m in range(1, 4)
+            ]
+    return block_specs(SUITE_BLOCKS[:1]) + lemma3 + block_specs(SUITE_BLOCKS[1:])
 
 
 def run_suite(specs=None) -> list[IdentityReport]:

@@ -68,17 +68,20 @@ class PathFamily(FrozenValue):
         super().__init__(kind, n, shape, tuple(paths))
 
 
-def _endpoints(kind: str, shape, n: int, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Start and end of path i (1-based)."""
-    if kind not in ("sst", "pst"):
-        raise MalformedFamily(f"unknown family kind {kind!r}")
+def _endpoints(kind: str, shape, n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (start, end) of paths 1..n, once the shape is in the kind's domain:
+    an ``sst`` shape fits n rows (else ``MuTooLong``), and a ``pst`` shape has
+    exactly n parts, all positive, as a pst path takes at least one H step."""
     if kind == "sst":
         mu = shape.padded(n)
-        return (i, n - i + 1), (n + 1, mu[i - 1] + n - i + 1)
-    lam = tuple(shape.parts)
-    if len(lam) != n:
+        return [((i, n - i + 1), (n + 1, mu[i - 1] + n - i + 1)) for i in range(1, n + 1)]
+    if kind != "pst":
+        raise MalformedFamily(f"unknown family kind {kind!r}")
+    if len(shape.parts) != n:
         raise MalformedFamily("pst shape length must equal n")
-    return (i, 0), (n + 1, lam[i - 1])
+    if 0 in shape.parts:
+        raise MalformedFamily(f"pst shape parts must be positive, got {shape.parts}")
+    return [((i, 0), (n + 1, part)) for i, part in enumerate(shape.parts, start=1)]
 
 
 def _check_grammar(kind: str, path: LatticePath) -> None:
@@ -93,7 +96,7 @@ def _check_grammar(kind: str, path: LatticePath) -> None:
 
 def validate_family(f: PathFamily) -> None:
     """Raises MalformedFamily / IntersectingPaths; returns None when valid."""
-    ends = [_endpoints(f.kind, f.shape, f.n, i) for i in range(1, f.n + 1)]
+    ends = _endpoints(f.kind, f.shape, f.n)
     if len(f.paths) != f.n:
         raise MalformedFamily(f"expected {f.n} paths, got {len(f.paths)}")
     seen: set[tuple[int, int]] = set()
@@ -112,24 +115,21 @@ def validate_family(f: PathFamily) -> None:
 
 def tableau_to_paths(t: Tableau) -> PathFamily:
     tableaux.check(t)
-    if t.kind == "sst":
-        kind, row_lengths = "sst", t.shape.padded(t.n)
-    elif t.kind == "primedP":
-        kind, row_lengths = "pst", t.shape.parts
-    else:
+    if t.kind not in ("sst", "primedP"):
         raise InvalidTableau(f"no path encoding for kind {t.kind!r}")
+    kind = "sst" if t.kind == "sst" else "pst"
     cells = t.cell_map()
     paths = []
-    for i, length in enumerate(row_lengths, start=1):
+    for i, (start, end) in enumerate(_endpoints(kind, t.shape, t.n), start=1):
         first = 1 if kind == "sst" else i  # column of the row's first cell
         steps = []
         at = i
-        for j in range(first, first + length):
+        # row i has one cell per H or D step, each one column right
+        for j in range(first, first + end[1] - start[1]):
             e = cells[(i, j)]
             steps.append("V" * (e.value - at - e.primed) + ("D" if e.primed else "H"))
             at = e.value
         steps.append("V" * (t.n + 1 - at))
-        start, _ = _endpoints(kind, t.shape, t.n, i)
         paths.append(LatticePath(start, "".join(steps)))
     fam = PathFamily(kind, t.n, t.shape, paths)
     validate_family(fam)
@@ -172,9 +172,8 @@ def paths_weight(f: PathFamily) -> poly.Polynomial:
     )
 
 
-def _free_paths(kind: str, shape, n: int, i: int) -> list[LatticePath]:
-    """All monotone paths for endpoint pair i obeying the step grammar, steps in lex order H < V < D."""
-    start, end = _endpoints(kind, shape, n, i)
+def _free_paths(kind: str, start: tuple[int, int], end: tuple[int, int]) -> list[LatticePath]:
+    """All monotone paths from start to end obeying the step grammar, steps in lex order H < V < D."""
     moves = "HVD" if kind == "pst" else "HV"
 
     def steps(walk):  # walk: the (step, row, column) of each step so far
@@ -192,7 +191,7 @@ def _free_paths(kind: str, shape, n: int, i: int) -> list[LatticePath]:
 def nonintersecting_families(kind: str, shape, n: int) -> Iterator[PathFamily]:
     """Families matching start i with end i, pairwise point-disjoint, in
     lexicographic order of their steps, path by path."""
-    per_pair = [[(p, set(p.points())) for p in _free_paths(kind, shape, n, i)] for i in range(1, n + 1)]
+    per_pair = [[(p, set(p.points())) for p in _free_paths(kind, *ends)] for ends in _endpoints(kind, shape, n)]
 
     def paths(chosen):  # chosen: the (path, its points) of paths 1..len(chosen)
         return (
@@ -223,13 +222,14 @@ def row_sweep_sum(kind: str, shape, n: int) -> poly.Polynomial:
     exactly when the states interlace, f_j >= e_j >= f_(j+1), weakly for
     ``sst`` and strictly for ``pst``.  With e' the entry column of the path
     to its right, a ``pst`` path may then leave by V when f < e' and by D
-    when r < n and f > e; a new one takes at least one H step, so it needs
-    f >= 1 by V and f >= 2 by D.  V and D edges hold no lattice point
-    between their ends, so the row weight, the product of the paths' leg
-    sums, counts each family once, as the product of its edge weights.
+    when r < n and f > e.  No path begins by V or D: a ``pst`` top state has
+    no 0 part, so no state below it has one, and if path r began by D, so
+    would path r + 1, which path n cannot.  V and D edges hold no lattice
+    point between their ends, so the row weight, the product of the paths'
+    leg sums, counts each family once, as the product of its edge weights.
     :func:`nonintersecting_sum` is its oracle.
     """
-    ends = [_endpoints(kind, shape, n, i) for i in range(1, n + 1)]
+    ends = _endpoints(kind, shape, n)
     starts = [start for (_, start), _ in ends]
 
     def row_weight(r, upper, lower):
@@ -248,8 +248,8 @@ def row_sweep_sum(kind: str, shape, n: int) -> poly.Polynomial:
 def _leg_sum(kind: str, n: int, r: int, e: int, f: int, right: int | None) -> poly.Polynomial:
     """The summed weight of one path's edges from column e of row r to column
     f of row r + 1, by V only left of column ``right`` (None: anywhere)."""
-    legs = [(f, poly.ONE)] if f >= 1 and (right is None or f < right) else []
-    if kind == "pst" and r < n and f - 1 >= max(e, 1):
+    legs = [(f, poly.ONE)] if right is None or f < right else []
+    if kind == "pst" and r < n and f - 1 >= e:
         legs.append((f - 1, _edge_weight(kind, n, "D", r + 1, f)))
     return poly.sum_of_products(
         (poly.product(_edge_weight(kind, n, "H", r, c) for c in range(e + 1, x + 1)), last)

@@ -1,8 +1,9 @@
 """Square ice partition functions and configuration rendering.
 
 Configurations are represented by compass point matrices; the square-ice
-picture is a rendering.  Partition functions are exact row-transfer sums over
-the admissible configurations for the boundary shape mu + delta.
+picture is a rendering.  ``ice_sum`` sums a weight of the compass rows over
+the admissible configurations for the boundary shape mu + delta, by row
+transfer; a partition function is its sum of Boltzmann row weights.
 """
 
 from __future__ import annotations
@@ -10,20 +11,28 @@ from __future__ import annotations
 from . import combin, poly
 from .shapes import Partition, shape_for
 
-def partition_function(mu: Partition, n: int, variant: str) -> poly.Polynomial:
-    """Sum of configuration weights over the boundary shape mu + delta.
 
-    A configuration's row i is fixed by its Gelfand-Tsetlin rows i - 1 and i,
-    so this is ``combin.gt_row_sum`` over the rows' ice weights.
+def ice_sum(mu: Partition, n: int, row_weight) -> poly.Polynomial:
+    """Sum over the ice of boundary shape mu + delta of the product of
+    ``row_weight(letters, i)`` over its rows i, ``letters`` being row i's
+    compass letters.
+
+    A configuration's row i is fixed by its Gelfand-Tsetlin rows i - 1 and i
+    (``combin.cpm_row``), so this is one ``combin.gt_row_sum``.
     """
-    table = combin.BoltzmannTable(variant)
+    if n < 1:
+        raise combin.InvalidShape(f"n must be at least 1, got {n}")
     lam = shape_for(mu, n, "delta")
     width = lam.breadth()
+    return combin.gt_row_sum(
+        lam, lambda i, row, lower: row_weight(combin.cpm_row(lower, row, width), i)
+    )
 
-    def row_weight(i, row, lower):
-        return combin.cpm_row_weight(combin.cpm_row(lower, row, width), i, table)
 
-    return combin.gt_row_sum(lam, row_weight)
+def partition_function(mu: Partition, n: int, variant: str) -> poly.Polynomial:
+    """The ``ice_sum`` of the Boltzmann row weights of ``variant``."""
+    table = combin.BoltzmannTable(variant)
+    return ice_sum(mu, n, lambda letters, i: combin.cpm_row_weight(letters, i, table))
 
 
 def render_sic(c: combin.CPM) -> str:

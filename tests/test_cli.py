@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftok import cli, combin
-from ftok.shapes import StrictPartition
+from ftok.shapes import Partition, StrictPartition
 from ftok.tableaux import Tableau
 from test_harness import identity_params
 
@@ -237,15 +238,27 @@ def test_suite_with_config(tmp_path, capsys):
     assert lines[-1] == "2/2 identities verified"
 
 
+# sha256 of the default suite's --json lines, each without "elapsed" and
+# re-dumped with sorted keys, joined by newlines.  A change that alters the
+# suite's output re-records this digest and says so in CHANGES.md.
+SUITE_DIGEST = "cf78729363bd6781b652432942fa7701002e24d533c58a4cd653940f86a0a29c"
+
+
 def test_default_suite(capsys):
     from ftok import harness
 
-    code, out, _ = run(capsys, "suite")
+    code, out, _ = run(capsys, "suite", "--json")
     assert code == 0
-    lines = out.splitlines()
-    assert any(line.startswith("PASS theorem1P[mu=(), n=1] (") for line in lines)
-    n = len(harness.default_suite())
-    assert lines[-1] == f"{n}/{n} identities verified"
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == len(harness.default_suite())
+    assert all(r["pass"] for r in reports)
+    for r in reports:
+        del r["elapsed"]
+    text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGEST
+    report = harness.verify_identity(harness.IdentitySpec("theorem1P", {"mu": Partition(), "n": 1}))
+    cli._print_report(report, as_json=False)
+    assert capsys.readouterr().out.startswith("PASS theorem1P[mu=(), n=1] (")
 
 
 def test_suite_bad_config(tmp_path, capsys):
@@ -375,6 +388,13 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
 @pytest.mark.parametrize("n", [0, -1])
 def test_det_kinds_reject_n_below_1(capsys, kind, n):
     code, out, err = run(capsys, "sf", "--kind", kind, "--shape", "", "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: n must be at least 1, got {n}\n"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_zfunc_rejects_n_below_1(capsys, n):
+    code, out, err = run(capsys, "zfunc", "--variant", "general", "--mu", "", "--n", str(n))
     assert (code, out) == (2, "")
     assert err == f"error: n must be at least 1, got {n}\n"
 

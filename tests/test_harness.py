@@ -188,6 +188,7 @@ def test_default_suite_well_formed():
     assert all(isinstance(s, IdentitySpec) for s in specs)
     ids = {s.id for s in specs}
     assert ids == set(harness.IDENTITY_IDS)
+    assert len({s.describe() for s in specs}) == len(specs)  # no spec twice
 
 
 def test_partitions_up_to():

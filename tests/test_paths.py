@@ -1,9 +1,10 @@
 import pytest
 from test_acceptance import _strict_partitions
+from test_row_transfer import _id
 
 from ftok import harness, paths, poly, symfun, tableaux
 from ftok.paths import LatticePath, PathFamily
-from ftok.shapes import Partition, StrictPartition, shape_for
+from ftok.shapes import MuTooLong, Partition, StrictPartition, shape_for
 from ftok.tableaux import Tableau
 
 T_EX = Tableau.from_json(
@@ -153,6 +154,33 @@ def test_pst_sum_rejects_shape_length_other_than_n(lam, n):
         paths.row_sweep_sum("pst", lam, n)
 
 
+@pytest.mark.parametrize(
+    "kind,shape,n",
+    [("sst", Partition((1,)), 0)]
+    + [("pst", StrictPartition(parts), n) for parts, n in [((1, 0), 2), ((2, 0), 2), ((3, 2, 0), 3), ((4, 1, 0), 3)]],
+    ids=_id,
+)
+def test_path_sums_reject_shapes_outside_their_domain(kind, shape, n):
+    # these once summed to 1 and 0, unlike the tableau sums they encode: an sst
+    # shape must fit n rows, and a pst path takes at least one H step, so a 0
+    # part has no path
+    if kind == "sst":
+        error, message = MuTooLong, "more than 0 nonzero parts"
+    else:
+        error, message = paths.MalformedFamily, "pst shape parts must be positive"
+    with pytest.raises(error, match=message):
+        paths.row_sweep_sum(kind, shape, n)
+    with pytest.raises(error, match=message):
+        paths.nonintersecting_sum(kind, shape, n)
+
+
+def test_pst_tableau_with_a_zero_part_has_no_paths():
+    t = Tableau.from_json({"kind": "primedP", "shape": [2, 0], "n": 2, "rows": [["1", "1"], []]})
+    assert tableaux.validate(t) is None
+    with pytest.raises(paths.MalformedFamily, match=r"parts must be positive, got \(2, 0\)"):
+        paths.tableau_to_paths(t)
+
+
 def test_rejects_invalid_tableau():
     bad = Tableau.from_json({"kind": "sst", "shape": [1, 1], "n": 2, "rows": [["1"], ["1"]]})
     with pytest.raises(tableaux.InvalidTableau, match=r"rule T2 violated at \(2, 1\)"):
@@ -209,17 +237,14 @@ def test_pst_lgv_sum_matches_determinant(lam, n):
 
 def test_lgv_sum_matches_family_by_family_weights():
     # the row transfer against the sum over the families: the ranges of
-    # test_criterion_04_lattice_paths, then n = 4 with |mu| <= 2, pst shapes
-    # with a 0 part (no family: a pst path takes at least one H step), and
-    # two sst shapes at n = 5
+    # test_criterion_04_lattice_paths, then n = 4 with |mu| <= 2, and two sst
+    # shapes at n = 5
     cases = []
     for n in (1, 2, 3):
         cases += [("sst", mu, n) for mu in harness.partitions_up_to(8, n)]
         cases += [("pst", lam, n) for lam in _strict_partitions(8, n)]
     for mu in harness.partitions_up_to(2, 4):
         cases += [("sst", mu, 4), ("pst", shape_for(mu, 4, "delta"), 4)]
-    for parts, n in [((1, 0), 2), ((2, 0), 2), ((3, 2, 0), 3), ((4, 1, 0), 3)]:
-        cases.append(("pst", StrictPartition(parts), n))
     cases += [("sst", Partition((3, 2, 1)), 5), ("sst", Partition((2, 2)), 5)]
     for kind, shape, n in cases:
         want = paths.nonintersecting_sum(kind, shape, n)

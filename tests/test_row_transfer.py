@@ -102,7 +102,7 @@ def test_gt_row_sum_matches_enumeration(mu, n):
         assert sixvertex.partition_function(mu, n, variant) == want, variant
     rho = shape_for(mu, n, "rho")
     want = poly.poly_sum(_tokuyama_weight(g) for g in combin.enumerate_gtp(rho))
-    assert combin.gt_row_sum(rho, harness._tokuyama_row_weight) == want
+    assert combin.gt_row_sum(rho, combin.tokuyama_row_weight) == want
 
 
 @pytest.mark.parametrize("mu,n", _GT_CASES, ids=_id)

@@ -1,8 +1,9 @@
 import pytest
+from test_row_transfer import _id
 
-from ftok import combin, poly, sixvertex, symfun
+from ftok import combin, harness, poly, sixvertex, symfun
 from ftok.combin import CPM
-from ftok.shapes import Partition, StrictPartition
+from ftok.shapes import Partition, StrictPartition, shape_for
 
 C_EX = CPM(
     [
@@ -118,3 +119,11 @@ def test_boundary_arrows():
             assert lines[0][2 * j - 1] == "^"
             want = "v" if j in parts else "^"
             assert lines[2 * n][2 * j - 1] == want
+
+
+@pytest.mark.parametrize(
+    "mu,n", [(mu, n) for n in range(1, 5) for mu in harness.partitions_up_to(2, n)], ids=_id
+)
+def test_ice_sum_of_weight_one_counts_the_asms(mu, n):
+    count = sum(1 for _ in combin.enumerate_asm(shape_for(mu, n, "delta")))
+    assert sixvertex.ice_sum(mu, n, lambda letters, i: poly.ONE) == poly.const(count)
