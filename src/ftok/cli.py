@@ -50,6 +50,11 @@ def _parse_shape(kind: str, text: str):
     return parse_strict_partition(text)
 
 
+def _print_text(key: str, text: str, as_json: bool) -> int:
+    print(json.dumps({key: text}) if as_json else text)
+    return 0
+
+
 def _cmd_enumerate(args) -> int:
     shape = _parse_shape(args.kind, args.shape)
     if args.kind in ("gtp", "asm"):
@@ -90,8 +95,7 @@ def _cmd_sf(args) -> int:
 
         det_kind = args.kind.removesuffix("-det")
         text = poly.canonical(symfun.det_formula(det_kind, shape, args.n))
-    print(json.dumps({"polynomial": text}) if args.json else text)
-    return 0
+    return _print_text("polynomial", text, args.json)
 
 
 def _cmd_bijection(args) -> int:
@@ -119,8 +123,7 @@ def _cmd_bijection(args) -> int:
         out = combin.cpm_from_asm(combin.asm_from_gtp(g)).to_json()
     else:
         text = sixvertex.render_sic(combin.cpm_from_asm(combin.asm_from_gtp(g)))
-        print(json.dumps({"sic": text}) if args.json else text)
-        return 0
+        return _print_text("sic", text, args.json)
     print(json.dumps(out))
     return 0
 
@@ -130,9 +133,7 @@ def _cmd_zfunc(args) -> int:
 
     mu = parse_partition(args.mu)
     total = sixvertex.partition_function(mu, args.n, args.variant)
-    text = poly.canonical(total)
-    print(json.dumps({"polynomial": text}) if args.json else text)
-    return 0
+    return _print_text("polynomial", poly.canonical(total), args.json)
 
 
 def _spec_from_args(args):
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list combinatorial objects")
-    p.add_argument("--kind", required=True, choices=["sst", "shifted", "primed-p", "primed-q", "gtp", "asm"])
+    p.add_argument("--kind", required=True, choices=[*_TABLEAU_KIND, "gtp", "asm"])
     p.add_argument("--shape", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--count-only", action="store_true")

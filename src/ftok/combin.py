@@ -6,10 +6,10 @@ GT pattern rows are stored bottom-up: ``rows[0]`` is the single bottom entry
 and ``rows[n-1]`` is the top row (the shape).  ASM rows run top-down, so ASM
 row i pairs with pattern rows i and i-1.  ``cpm_row`` is the one rule for row
 i of the ice: ``asm_from_gtp`` and ``cpm_from_asm`` read every row through it,
-and ``asm_from_cpm`` maps its letters to ASM entries.  ``VARIANTS`` lists the
-Boltzmann weight tables that ``BoltzmannTable`` accepts.  The pattern row
-weights, ``gtp_row_weight`` and Tokuyama's ``tokuyama_row_weight``, both read
-a row's ``row_labels``.
+and ``asm_from_cpm`` maps its letters to ASM entries.  ``VARIANTS`` are the
+keys of ``BOLTZMANN_WEIGHTS``, the one Boltzmann weight table.  The pattern
+row weights, ``gtp_row_weight`` and Tokuyama's ``tokuyama_row_weight``, both
+read a row's ``row_labels``.
 """
 
 from __future__ import annotations
@@ -85,34 +85,38 @@ def validate_gtp(g: GTPattern) -> None:
                 raise InvalidPattern(f"betweenness fails at ({i},{j})")
 
 
-class ASM(FrozenValue):
-    __slots__ = ("entries", "shape")  # int rows top-down, StrictPartition
+class _IceMatrix:
+    """The JSON codec of ``ASM`` and ``CPM``; ``from_json`` raises the class's ``error``."""
+
+    __slots__ = ()
 
     def __init__(self, entries, shape):
         super().__init__(tuple(tuple(r) for r in entries), shape)
 
+    def to_json(self) -> dict:
+        return {"entries": [list(r) for r in self.entries], "shape": list(self.shape.parts)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        try:
+            return cls(data["entries"], StrictPartition(data["shape"]))
+        except (KeyError, TypeError) as e:
+            raise cls.error(f"malformed {cls.__name__} JSON: {e!r}") from e
+
+
+class ASM(_IceMatrix, FrozenValue):
+    __slots__ = ("entries", "shape")  # int rows top-down, StrictPartition
+    error = InvalidASM
+
     def dims(self) -> tuple[int, int]:
         return len(self.entries), self.shape.breadth()
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [list(r) for r in self.entries],
-            "shape": list(self.shape.parts),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "ASM":
-        try:
-            return ASM(data["entries"], StrictPartition(data["shape"]))
-        except (KeyError, TypeError) as e:
-            raise InvalidASM(f"malformed ASM JSON: {e!r}") from e
 
 
 def validate_asm(a: ASM) -> None:
     n, m = a.dims()
     lam = set(p for p in a.shape.parts if p > 0)
     if len(a.shape.parts) != n or a.shape.length() != n:
-        raise InvalidASM("shape length must match the row count")
+        raise InvalidASM(f"an ASM with {n} rows needs {n} positive parts, got {a.shape.parts}")
     if any(len(r) != m for r in a.entries):
         raise InvalidASM(f"rows must have {m} columns")
     if any(not is_int(v) or v not in (-1, 0, 1) for r in a.entries for v in r):
@@ -135,30 +139,15 @@ def validate_asm(a: ASM) -> None:
             raise InvalidASM(f"column {j + 1} sums to {sum(col)}, want {want}")
 
 
-class CPM(FrozenValue):
+class CPM(_IceMatrix, FrozenValue):
     __slots__ = ("entries", "shape")  # rows of CPM_LETTERS, StrictPartition
-
-    def __init__(self, entries, shape):
-        super().__init__(tuple(tuple(r) for r in entries), shape)
+    error = InvalidCPM
 
     def dims(self) -> tuple[int, int]:
         return len(self.entries), len(self.entries[0]) if self.entries else 0
 
     def count(self, letter: str) -> int:
         return sum(r.count(letter) for r in self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [list(r) for r in self.entries],
-            "shape": list(self.shape.parts),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CPM":
-        try:
-            return CPM(data["entries"], StrictPartition(data["shape"]))
-        except (KeyError, TypeError) as e:
-            raise InvalidCPM(f"malformed CPM JSON: {e!r}") from e
 
 
 # -- shifted tableau <-> GT pattern -------------------------------------
@@ -262,7 +251,25 @@ def asm_from_cpm(c: CPM) -> ASM:
 
 # -- weights ------------------------------------------------------------
 
-VARIANTS = ("general", "bmn", "lascoux")
+# variant -> compass letter -> its weight at row i, column j; other letters weigh 1
+BOLTZMANN_WEIGHTS = {
+    "general": {
+        "NS": lambda i, j: poly.x(i) + poly.y(i),
+        "NW": lambda i, j: poly.y(i) - poly.a(j),
+        "SW": lambda i, j: poly.x(i) + poly.a(j),
+    },
+    "bmn": {
+        "NS": lambda i, j: (poly.ONE + poly.t()) * poly.z(i),
+        "NE": lambda i, j: poly.t(),
+        "NW": lambda i, j: poly.z(i) - poly.t() * poly.alpha(j),
+        "SW": lambda i, j: poly.z(i) + poly.alpha(j),
+    },
+    "lascoux": {
+        "NS": lambda i, j: -(poly.x(i) * poly.var_poly(poly.variable("a", j), -1)),
+        "SW": lambda i, j: -(poly.x(i) * poly.var_poly(poly.variable("a", j), -1) + poly.ONE),
+    },
+}
+VARIANTS = tuple(BOLTZMANN_WEIGHTS)
 
 
 class BoltzmannTable(FrozenValue):
@@ -276,30 +283,8 @@ class BoltzmannTable(FrozenValue):
     def weight_of(self, letter: str, i: int, j: int) -> poly.Polynomial:
         if letter not in CPM_LETTERS:
             raise InvalidCPM(f"unknown entry {letter!r}")
-        if self.variant == "general":
-            if letter == "NS":
-                return poly.x(i) + poly.y(i)
-            if letter == "NW":
-                return poly.y(i) - poly.a(j)
-            if letter == "SW":
-                return poly.x(i) + poly.a(j)
-            return poly.ONE
-        if self.variant == "bmn":
-            if letter == "NS":
-                return (poly.ONE + poly.t()) * poly.z(i)
-            if letter == "NE":
-                return poly.t()
-            if letter == "NW":
-                return poly.z(i) - poly.t() * poly.alpha(j)
-            if letter == "SW":
-                return poly.z(i) + poly.alpha(j)
-            return poly.ONE
-        ainv = poly.var_poly(poly.variable("a", j), -1)  # lascoux
-        if letter == "NS":
-            return -(poly.x(i) * ainv)
-        if letter == "SW":
-            return -(poly.x(i) * ainv + poly.ONE)
-        return poly.ONE
+        rule = BOLTZMANN_WEIGHTS[self.variant].get(letter)
+        return rule(i, j) if rule else poly.ONE
 
 
 def cpm_row_weight(letters, i: int, table: BoltzmannTable) -> poly.Polynomial:

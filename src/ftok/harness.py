@@ -23,8 +23,6 @@ from .shapes import (
     StrictPartition,
     conjugate,
     is_int,
-    parse_partition,
-    parse_strict_partition,
     shape_for,
 )
 
@@ -42,11 +40,28 @@ class BadConfig(ValueError):
     pass
 
 
+class Params(dict):
+    """An ``IdentitySpec``'s parameter dict: read-only, hashed by its item set."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("IdentitySpec params are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copy and pickle pass the items to the constructor
+        return Params, (dict(self),)
+
+
 class IdentitySpec(FrozenValue):
-    __slots__ = ("id", "params")  # identity id, parameter name -> value
+    __slots__ = ("id", "params")  # identity id, Params of parameter name -> value
 
     def __init__(self, id: str, params: dict | None = None):
-        super().__init__(id, {} if params is None else params)
+        super().__init__(id, Params(params or ()))
 
     def describe(self) -> str:
         bits = []
@@ -89,13 +104,13 @@ def _get_int(params: dict, key: str) -> int:
     return v
 
 
-def _get_shape(params: dict, key: str, klass, parse):
+def _get_shape(params: dict, key: str, klass):
     if key not in params:
         raise BadParams(f"missing parameter {key!r}")
     v = params[key]
     if isinstance(v, str):
         try:
-            v = parse(v)
+            v = klass.parse(v)
         except ValueError as e:
             raise BadParams(str(e)) from e
     if not isinstance(v, klass):
@@ -125,14 +140,14 @@ def _resolve(params: dict, names: tuple[str, ...]) -> list:
         if key in ("m", "p", "q"):
             values[key] = _get_int(params, key)
         elif key == "lam" and "lambda" in params:
-            lam = _get_shape(params, "lambda", StrictPartition, parse_strict_partition)
+            lam = _get_shape(params, "lambda", StrictPartition)
             if len(lam.parts) != n or lam.length() != n:
                 raise BadParams(
                     f"lambda must have exactly {n} parts, all positive, got {lam.parts}"
                 )
             values[key] = lam
         elif key in ("mu", "lam"):
-            mu = _get_shape(params, "mu", Partition, parse_partition)
+            mu = _get_shape(params, "mu", Partition)
             if mu.length() > n:
                 raise BadParams(f"{mu.parts} has more than {n} nonzero parts")
             values[key] = mu if key == "mu" else shape_for(mu, n, "delta")

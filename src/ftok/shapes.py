@@ -78,20 +78,40 @@ class FrozenValue:
         FrozenValue.__init__(self, *state)
 
 
-class Partition(FrozenValue):
-    __slots__ = ("parts",)  # tuple[int, ...]
+class _Parts:
+    """What the two partition classes share: ``parts``, nonnegative integers
+    that the class's ``_check`` checks further, and their text form."""
+
+    __slots__ = ()
 
     def __init__(self, parts=()):
         parts = tuple(parts)
         if not all(is_int(p) and p >= 0 for p in parts):
             raise ValueError(f"parts must be nonnegative integers, got {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts not weakly decreasing: {parts}")
+        self._check(parts)
         super().__init__(parts)
 
     def length(self) -> int:
         """Number of nonzero parts."""
         return sum(1 for p in self.parts if p > 0)
+
+    def serialize(self) -> str:
+        return ",".join(str(p) for p in self.parts)
+
+    @classmethod
+    def parse(cls, text: str):
+        """The inverse of ``serialize``; blank text is the empty partition."""
+        text = text.strip()
+        return cls(int(p) for p in text.split(",")) if text else cls()
+
+
+class Partition(_Parts, FrozenValue):
+    __slots__ = ("parts",)  # tuple[int, ...]
+
+    @staticmethod
+    def _check(parts):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"parts not weakly decreasing: {parts}")
 
     def weight(self) -> int:
         return sum(self.parts)
@@ -104,48 +124,26 @@ class Partition(FrozenValue):
             raise MuTooLong(f"{self.parts} has more than {n} nonzero parts")
         return tuple(self.parts[:n]) + (0,) * (n - len(self.parts[:n]))
 
-    def serialize(self) -> str:
-        return ",".join(str(p) for p in self.parts)
 
-
-class StrictPartition(FrozenValue):
+class StrictPartition(_Parts, FrozenValue):
     """Strictly decreasing positive parts, optionally one terminal zero."""
 
     __slots__ = ("parts",)  # tuple[int, ...]
 
-    def __init__(self, parts=()):
-        parts = tuple(parts)
-        if not all(is_int(p) and p >= 0 for p in parts):
-            raise ValueError(f"parts must be nonnegative integers, got {parts}")
+    @staticmethod
+    def _check(parts):
         nonzero = parts[:-1] if parts and parts[-1] == 0 else parts
         if any(p == 0 for p in nonzero):
             raise ValueError(f"interior zero part in {parts}")
         if any(nonzero[i] <= nonzero[i + 1] for i in range(len(nonzero) - 1)):
             raise ValueError(f"parts not strictly decreasing: {parts}")
-        super().__init__(parts)
-
-    def length(self) -> int:
-        return sum(1 for p in self.parts if p > 0)
 
     def breadth(self) -> int:
         return self.parts[0] if self.parts else 0
 
-    def serialize(self) -> str:
-        return ",".join(str(p) for p in self.parts)
 
-
-def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if not text:
-        return Partition()
-    return Partition(int(p) for p in text.split(","))
-
-
-def parse_strict_partition(text: str) -> StrictPartition:
-    text = text.strip()
-    if not text:
-        return StrictPartition()
-    return StrictPartition(int(p) for p in text.split(","))
+parse_partition = Partition.parse
+parse_strict_partition = StrictPartition.parse
 
 
 def conjugate(p: Partition) -> Partition:

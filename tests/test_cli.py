@@ -307,6 +307,20 @@ ERROR_TEXT = {
     # a string row would otherwise read as one cell per character
     "bijection --from shifted --to gtp --input string-rows.json": "rows must be lists",
     "bijection --from shifted --to gtp --input string-row-list.json": "rows must be lists",
+    # an ASM needs one positive part per row; a zero part is not one
+    "enumerate --kind asm --shape 2,1,0": (
+        "an ASM with 3 rows needs 3 positive parts, got (2, 1, 0)"
+    ),
+    "enumerate --kind asm --shape 0": "an ASM with 1 rows needs 1 positive parts, got (0,)",
+    "bijection --from gtp --to asm --input zero-part.json": (
+        "an ASM with 2 rows needs 2 positive parts, got (2, 0)"
+    ),
+    "bijection --from gtp --to cpm --input zero-part.json": (
+        "an ASM with 2 rows needs 2 positive parts, got (2, 0)"
+    ),
+    "bijection --from gtp --to sic --input zero-part.json": (
+        "an ASM with 2 rows needs 2 positive parts, got (2, 0)"
+    ),
 }
 
 
@@ -356,6 +370,7 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "not-strict.json").write_text('{"rows": [[3], [1, 2]]}')
     (tmp_path / "zero-top.json").write_text('{"rows": [[1], [1, 0]]}')
+    (tmp_path / "zero-part.json").write_text('{"rows": [[1], [2, 0]]}')
     shifted = '{"kind": "shifted", "shape": [2, 1], "n": %s, "rows": [["1", "1"], ["2"]]}'
     (tmp_path / "float-n.json").write_text(shifted % "2.9")
     (tmp_path / "string-n.json").write_text(shifted % '"2"')

@@ -188,3 +188,17 @@ def test_json_round_trips():
     assert GTPattern.from_json(G_EX.to_json()) == G_EX
     assert ASM.from_json(A_EX.to_json()) == A_EX
     assert CPM.from_json(C_EX.to_json()) == C_EX
+
+
+@pytest.mark.parametrize("klass, error", [(ASM, combin.InvalidASM), (CPM, combin.InvalidCPM)])
+def test_malformed_ice_json_raises_the_class_error(klass, error):
+    for data, cause in (
+        ({"entries": [[1]]}, "KeyError('shape')"),
+        ({"shape": [1]}, "KeyError('entries')"),
+        ({"entries": 1, "shape": [1]}, "TypeError(\"'int' object is not iterable\")"),
+        ([[1]], "TypeError('list indices must be integers or slices, not str')"),
+    ):
+        with pytest.raises(error) as info:
+            klass.from_json(data)
+        assert type(info.value) is error
+        assert str(info.value) == f"malformed {klass.__name__} JSON: {cause}"

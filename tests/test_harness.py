@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from itertools import combinations
 
 import pytest
@@ -183,12 +185,43 @@ def test_run_suite_empty_and_in_order():
         harness.run_suite(["lemma1"])
 
 
+def test_spec_params_are_read_only_and_hash_by_their_items():
+    mu = Partition((2, 1))
+    given_params = {"mu": mu, "n": 3}
+    spec = IdentitySpec("theorem1P", given_params)
+    swapped = IdentitySpec("theorem1P", {"n": 3, "mu": mu})
+    given_params["n"] = 4  # the spec holds its own copy
+    assert spec.params == {"mu": mu, "n": 3} and list(spec.params) == ["mu", "n"]
+    assert list(swapped.params) == ["n", "mu"]  # to_json keeps the given order
+    assert spec == swapped and hash(spec) == hash(swapped)
+    assert spec != IdentitySpec("theorem1P", {"mu": mu, "n": 4})
+    for change in (
+        lambda p: p.__setitem__("n", 4),
+        lambda p: p.__delitem__("n"),
+        lambda p: p.update(n=4),
+        lambda p: p.setdefault("m", 1),
+        lambda p: p.pop("n"),
+        lambda p: p.popitem(),
+        lambda p: p.clear(),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            change(spec.params)
+    with pytest.raises(TypeError, match="read-only"):
+        params = spec.params
+        params |= {"n": 4}
+    assert spec.params == {"mu": mu, "n": 3}
+    for copied in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and list(copied.params) == ["mu", "n"]
+        assert type(copied.params) is type(spec.params)
+    assert len({spec, swapped, IdentitySpec("theorem1P", {"mu": mu, "n": 3})}) == 1
+
+
 def test_default_suite_well_formed():
     specs = harness.default_suite()
     assert all(isinstance(s, IdentitySpec) for s in specs)
     ids = {s.id for s in specs}
     assert ids == set(harness.IDENTITY_IDS)
-    assert len({s.describe() for s in specs}) == len(specs)  # no spec twice
+    assert len(set(specs)) == len(specs)  # no spec twice
 
 
 def test_partitions_up_to():

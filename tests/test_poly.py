@@ -36,6 +36,14 @@ def test_variable_validation():
     poly.variable("a", 0)  # a0 is legal
 
 
+def test_indexed_family_needs_an_index_and_powers_are_nonnegative():
+    with pytest.raises(ValueError, match="^family 'x' needs an index$"):
+        poly.variable("x")
+    with pytest.raises(ValueError, match=r"^negative powers only via substitute\(\)$"):
+        poly.x(1) ** -1
+    assert poly.x(1) ** 0 == poly.ONE
+
+
 def test_a0_is_zero():
     # the paper's weights take a_0 = 0, and every weight reads a_j from poly.a
     assert poly.a(0) == poly.ZERO

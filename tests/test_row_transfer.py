@@ -183,3 +183,31 @@ def test_no_function_in_ftok_calls_itself():
         for line, name in _self_calls(path.read_text())
     ]
     assert found == []
+
+
+def _bodies(source: str, min_nodes: int = 10) -> list[tuple[str, int, str]]:
+    """(ast dump of the body, line, name) of each function whose body,
+    docstring dropped, has at least ``min_nodes`` AST nodes."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+            if sum(1 for stmt in body for _ in ast.walk(stmt)) >= min_nodes:
+                found.append((ast.dump(ast.Module(body, [])), func.lineno, func.name))
+    return found
+
+
+def test_no_function_body_in_ftok_is_written_twice():
+    # north star 2: one implementation per rule, so no two functions share a
+    # body; bodies under 10 AST nodes (one-line accessors) may coincide
+    twice = (
+        'def f(xs):\n    "doc"\n    return sum(1 for x in xs if x > 0)\n'
+        "def g(xs):\n    return sum(1 for x in xs if x > 0)\n"
+    )
+    assert len({dump for dump, _, _ in _bodies(twice)}) == 1
+    assert _bodies("def f(self):\n    return self.rows\n") == []
+    seen: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src" / "ftok").glob("*.py")):
+        for dump, line, name in _bodies(path.read_text()):
+            seen.setdefault(dump, []).append(f"{path.name}:{line} {name}")
+    assert [places for places in seen.values() if len(places) > 1] == []

@@ -49,6 +49,20 @@ def test_table_values():
         g.weight_of("XY", 1, 1)
 
 
+def test_weight_table_lists_compass_letters_only():
+    assert combin.VARIANTS == tuple(combin.BOLTZMANN_WEIGHTS)
+    for variant, weights in combin.BOLTZMANN_WEIGHTS.items():
+        assert set(weights) <= set(combin.CPM_LETTERS), variant
+        table = combin.BoltzmannTable(variant)
+        for letter in set(combin.CPM_LETTERS) - set(weights):
+            assert table.weight_of(letter, 2, 3) == poly.ONE, (variant, letter)
+
+
+def test_render_sic_rejects_an_unknown_letter():
+    with pytest.raises(combin.InvalidCPM, match="^unknown entry 'XY'$"):
+        sixvertex.render_sic(CPM([["WE", "XY"]], StrictPartition((2,))))
+
+
 def test_partition_function_trivial():
     assert sixvertex.partition_function(Partition(), 1, "bmn") == poly.ONE
 

@@ -159,6 +159,19 @@ def test_tableau_sum_bad_shape():
         symfun.tableau_sum("weird", Partition((1,)), 1)
 
 
+def test_tableau_sum_outside_n():
+    with pytest.raises(ValueError, match=r"^n must be at least 0, got -1$"):
+        symfun.tableau_sum("schur", Partition((1,)), -1)
+    # more nonzero parts than letters: no tableau, so the sum is 0
+    assert symfun.tableau_sum("schur", Partition((1, 1)), 1) == poly.ZERO
+    assert symfun.tableau_sum("factorialBigP", StrictPartition((2, 1, 0)), 1) == poly.ZERO
+
+
+def test_lemma2_needs_a_strict_partition():
+    with pytest.raises(symfun.InvalidShapeForKind, match="^lemma2 needs a StrictPartition shape$"):
+        symfun.det_formula("lemma2", Partition((1,)), 1)
+
+
 def test_plain_kinds_are_a_to_zero():
     for kind, plain in [
         ("factorialSchur", "schur"),
