@@ -14,6 +14,8 @@ read a row's ``row_labels``.
 
 from __future__ import annotations
 
+import functools
+
 from . import poly, tableaux
 from .shapes import FrozenValue, StrictPartition, depth_first, interlacing, is_int
 from .tableaux import CellEntry, InvalidTableau, Tableau
@@ -35,6 +37,12 @@ class InvalidCPM(ValueError):
 
 class InvalidShape(ValueError):
     pass
+
+
+def check_letter(letter) -> None:
+    """Raise InvalidCPM unless ``letter`` is one of ``CPM_LETTERS``."""
+    if letter not in CPM_LETTERS:
+        raise InvalidCPM(f"unknown entry {letter!r}")
 
 
 class GTPattern(FrozenValue):
@@ -281,10 +289,15 @@ class BoltzmannTable(FrozenValue):
         super().__init__(variant)
 
     def weight_of(self, letter: str, i: int, j: int) -> poly.Polynomial:
-        if letter not in CPM_LETTERS:
-            raise InvalidCPM(f"unknown entry {letter!r}")
-        rule = BOLTZMANN_WEIGHTS[self.variant].get(letter)
-        return rule(i, j) if rule else poly.ONE
+        check_letter(letter)
+        return _boltzmann_weight(self.variant, letter, i, j)
+
+
+@functools.cache
+def _boltzmann_weight(variant: str, letter: str, i: int, j: int) -> poly.Polynomial:
+    """The ``BOLTZMANN_WEIGHTS`` entry of a checked letter, built once per process."""
+    rule = BOLTZMANN_WEIGHTS[variant].get(letter)
+    return rule(i, j) if rule else poly.ONE
 
 
 def cpm_row_weight(letters, i: int, table: BoltzmannTable) -> poly.Polynomial:
@@ -362,21 +375,30 @@ def enumerate_gtp(top: StrictPartition):
         yield GTPattern(reversed(rows))
 
 
-def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynomial:
+# (key, strict) -> {row: H(row)}, the memos of ``row_transfer``
+_ROW_SUMS: dict = {}
+
+
+def row_transfer(top: tuple[int, ...], row_weight, strict: bool, key) -> poly.Polynomial:
     """Sum over the chains ``top = row_k, row_(k-1), ..., row_0 = ()`` of rows
     from ``shapes.interlacing(row_i, strict)`` of the product of
     ``row_weight(i, row_i, row_(i-1))``.
 
     Row transfer: ``H(row) = sum_lower row_weight(len(row), row, lower) *
-    H(lower)`` from ``H(()) = 1``, memoised on the row for this call only, so
-    each row reachable from ``top`` is summed once however many chains pass
-    through it; a lower row of row weight 0 is skipped, never summed.  One loop
-    over a stack of (row, its (row weight, lower row) pairs, its lower rows)
-    sums a lower row not in the memo first, so no chain needs stack depth, and
-    ``H(row)`` is one :func:`poly.sum_of_products` call on its pairs.
+    H(lower)`` from ``H(()) = 1``.  ``H(row)`` depends on the row and the row
+    weight only, not on ``top``, so it is memoised on the row in one memo per
+    ``(key, strict)`` for the life of the process: each row is summed once per
+    process however many chains and tops reach it.  ``key`` is hashable and
+    names everything ``row_weight`` reads besides its three arguments, so two
+    calls with equal keys must pass equal row weights; each caller's key
+    begins with its own name.  A lower row of row weight 0 is skipped, never
+    summed.  One loop over a stack of (row, its (row weight, lower row) pairs,
+    its lower rows) sums a lower row not in the memo first, so no chain needs
+    stack depth, and ``H(row)`` is one :func:`poly.sum_of_products` call on
+    its pairs.
     """
-    memo = {(): poly.ONE}
-    stack = [(top, [], interlacing(top, strict))] if top else []
+    memo = _ROW_SUMS.setdefault((key, strict), {(): poly.ONE})
+    stack = [] if top in memo else [(top, [], interlacing(top, strict))]
     while stack:
         row, pairs, lowers = stack[-1]
         for lower in lowers:
@@ -391,14 +413,14 @@ def row_transfer(top: tuple[int, ...], row_weight, strict: bool) -> poly.Polynom
     return memo[top]
 
 
-def gt_row_sum(top: StrictPartition, row_weight) -> poly.Polynomial:
+def gt_row_sum(top: StrictPartition, row_weight, key) -> poly.Polynomial:
     """Sum over the strict patterns with top row ``top`` of the product of
     ``row_weight(i, row, lower)`` over their rows i (``lower`` is row i - 1,
-    empty for the bottom row), as a :func:`row_transfer`.  The sum over
-    ``enumerate_gtp(top)`` is its oracle.
+    empty for the bottom row), as a :func:`row_transfer` whose ``key`` names
+    the row weight.  The sum over ``enumerate_gtp(top)`` is its oracle.
     """
     _check_top(top)
-    return row_transfer(tuple(top.parts), row_weight, strict=True)
+    return row_transfer(tuple(top.parts), row_weight, True, ("gt_row_sum", key))
 
 
 def enumerate_asm(shape: StrictPartition):

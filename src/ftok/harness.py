@@ -203,7 +203,10 @@ def _check_lemma4(mu: Partition, n: int):
     # #SW - #NE = |mu|; combin.enumerate_asm is the oracle of the count.
     tvar = poly.variable("t")
     lhs = sixvertex.ice_sum(
-        mu, n, lambda letters, i: poly.var_poly(tvar, letters.count("SW") - letters.count("NE"))
+        mu,
+        n,
+        lambda letters, i: poly.var_poly(tvar, letters.count("SW") - letters.count("NE")),
+        "t^(#SW - #NE)",
     )
     rhs = poly.const(sum(lhs.terms.values())) * poly.var_poly(tvar, mu.weight())
     return lhs, rhs
@@ -226,13 +229,13 @@ def _check_cor2(mu: Partition, n: int):
 
 
 def _check_cor3(mu: Partition, n: int):
-    lhs = combin.gt_row_sum(shape_for(mu, n, "delta"), combin.gtp_row_weight)
+    lhs = combin.gt_row_sum(shape_for(mu, n, "delta"), combin.gtp_row_weight, "gtp")
     rhs = symfun.theorem_rhs(mu, n, "P")
     return lhs, rhs
 
 
 def _check_cor4(mu: Partition, n: int):
-    lhs = combin.gt_row_sum(shape_for(mu, n, "rho"), combin.tokuyama_row_weight)
+    lhs = combin.gt_row_sum(shape_for(mu, n, "rho"), combin.tokuyama_row_weight, "tokuyama")
     rhs = (
         symfun.vandermonde(n, lambda i, j: poly.x(i) + poly.t() * poly.x(j))
         * symfun.tableau_sum("schur", mu.normalized(), n)
@@ -397,6 +400,12 @@ def load_suite_config(path: str) -> list[IdentitySpec]:
     for entry in data:
         if not isinstance(entry, dict) or "id" not in entry:
             raise BadConfig(f"bad suite entry: {entry!r}")
+        for key, value in entry.items():
+            # a list or object would leave the spec unhashable
+            if isinstance(value, (list, dict)):
+                raise BadConfig(
+                    f"suite entry {key!r} must be a JSON string or number, got {value!r}"
+                )
         params = {k: v for k, v in entry.items() if k != "id"}
         specs.append(IdentitySpec(entry["id"], params))
     return specs

@@ -241,7 +241,7 @@ def row_sweep_sum(kind: str, shape, n: int) -> poly.Polynomial:
         )
 
     top = tuple(end - start for (_, start), (_, end) in ends)
-    return combin.row_transfer(top, row_weight, strict=kind == "pst")
+    return combin.row_transfer(top, row_weight, kind == "pst", ("row_sweep_sum", kind, n))
 
 
 @functools.cache

@@ -97,7 +97,8 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
     return combin.row_transfer(
         parts + (0,) * (n - len(parts)),
         lambda k, outer, inner: _strip_sum(kind, outer, inner),
-        strict=tableaux.KINDS[tkind][0] is StrictPartition,
+        tableaux.KINDS[tkind][0] is StrictPartition,
+        ("tableau_sum", kind),
     )
 
 
@@ -157,11 +158,13 @@ def vandermonde(n: int, pair) -> poly.Polynomial:
     )
 
 
+@functools.cache
 def theorem_rhs(mu: Partition, n: int, klass: str) -> poly.Polynomial:
     """Product prefactor times the factorial Schur function.
 
     P class: prod_i x_i * prod_{i<j} (x_i + y_j) * s_mu(x|a).
     Q class: prod_{i<=j} (x_i + y_j) * s_mu(x|a).
+    Built once per process: theorem 1 and corollaries 2 and 3 share it.
     """
     if klass not in ("P", "Q"):
         raise ValueError(f"class must be 'P' or 'Q', got {klass!r}")

@@ -228,9 +228,10 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     )
 
 
+@functools.cache
 def cell_weight(kind: str, i: int, j: int, k: int, primed: bool) -> poly.Polynomial:
     """Weight of the entry k (k' when ``primed``) in cell (i, j) of an sst or
-    primed tableau.
+    primed tableau, built once per process.
 
     sst: x_k + a_{k+j-i}.  Primed kinds: x_k + a_{j-i} for k and
     y_k - a_{j-i} for k', with a_0 = 0, so x_k or y_k on the diagonal (k'

@@ -303,7 +303,7 @@ ERROR_TEXT = {
     "bijection --from gtp --to asm --input negative-entry.json": "not a nonnegative integer",
     "bijection --from asm --to gtp --input wide-asm.json": "rows must have 1 columns",
     "bijection --from shifted --to gtp --input sst-as-shifted.json": "expected a shifted tableau",
-    "suite --config mu-list.json": "must be a Partition",
+    "suite --config mu-list.json": "suite entry 'mu' must be a JSON string or number, got [2, 1]",
     # a string row would otherwise read as one cell per character
     "bijection --from shifted --to gtp --input string-rows.json": "rows must be lists",
     "bijection --from shifted --to gtp --input string-row-list.json": "rows must be lists",

@@ -238,6 +238,9 @@ def test_load_suite_config(tmp_path):
     path.write_text(json.dumps([{"id": "lemma1", "mu": "1", "n": 2}]))
     specs = harness.load_suite_config(str(path))
     assert specs == [IdentitySpec("lemma1", {"mu": "1", "n": 2})]
+    # every JSON scalar is kept as it is, and every spec hashes
+    path.write_text(json.dumps([{"id": "lemma1", "mu": None, "n": True, "m": 1.5}]))
+    assert len(set(harness.load_suite_config(str(path)))) == 1
     path.write_text(json.dumps({"id": "lemma1"}))
     with pytest.raises(harness.BadConfig):
         harness.load_suite_config(str(path))
@@ -246,3 +249,20 @@ def test_load_suite_config(tmp_path):
         harness.load_suite_config(str(path))
     with pytest.raises(harness.BadConfig):
         harness.load_suite_config(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize(
+    "entry,key",
+    [
+        ({"id": "theorem1P", "mu": [2, 1], "n": 3}, "mu"),
+        ({"id": "lemma2", "lambda": {"parts": [3, 1]}, "n": 2}, "lambda"),
+        ({"id": "lemma1", "mu": "1", "n": [2]}, "n"),
+        ({"id": ["theorem1P"], "mu": "1", "n": 2}, "id"),
+    ],
+)
+def test_load_suite_config_rejects_lists_and_objects(tmp_path, entry, key):
+    # such a value would leave the spec unhashable
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(harness.BadConfig, match=f"suite entry '{key}' must be"):
+        harness.load_suite_config(str(path))

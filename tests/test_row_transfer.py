@@ -7,16 +7,18 @@ the acceptance run.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from test_acceptance import _corollary_range, _main_range
+from test_acceptance import (MU_MAIN, MU_N4, MU_SMALL, _corollary_range, _main_range,
+                             _strict_partitions)
 
 from ftok import combin, harness, poly, sixvertex, symfun, tableaux
-from ftok.shapes import Partition, shape_for
+from ftok.shapes import Partition, StrictPartition, shape_for
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,8 +35,9 @@ def _tableau_cases():
 
     The acceptance identities sum factorialBigP/Q over mu + delta and
     factorialSchur/schur over mu; every other range is inside these.  primedQ
-    at n = 4 and |mu| = 2 is left out: its 16384 tableaux take about 19 s to
-    weigh one by one.  theorem1Q and cor1_ikeda check those two sums.
+    at n = 4 and |mu| = 2 is left out: (6, 3, 2, 1) has 16384 tableaux, about
+    19 s to weigh one by one, and test_shared_row_sums_do_not_depend_on_order
+    checks (5, 4, 2, 1).  theorem1Q and cor1_ikeda check both sums.
     """
     params = {
         (spec.params["mu"], spec.params["n"])
@@ -92,7 +95,7 @@ def test_gt_row_sum_matches_enumeration(mu, n):
     lam = shape_for(mu, n, "delta")
     patterns = list(combin.enumerate_gtp(lam))
     want = poly.poly_sum(combin.weight_gtp(g) for g in patterns)
-    assert combin.gt_row_sum(lam, combin.gtp_row_weight) == want
+    assert combin.gt_row_sum(lam, combin.gtp_row_weight, "gtp") == want
     for variant in combin.VARIANTS:
         table = combin.BoltzmannTable(variant)
         want = poly.poly_sum(
@@ -102,7 +105,7 @@ def test_gt_row_sum_matches_enumeration(mu, n):
         assert sixvertex.partition_function(mu, n, variant) == want, variant
     rho = shape_for(mu, n, "rho")
     want = poly.poly_sum(_tokuyama_weight(g) for g in combin.enumerate_gtp(rho))
-    assert combin.gt_row_sum(rho, combin.tokuyama_row_weight) == want
+    assert combin.gt_row_sum(rho, combin.tokuyama_row_weight, "tokuyama") == want
 
 
 @pytest.mark.parametrize("mu,n", _GT_CASES, ids=_id)
@@ -156,6 +159,92 @@ def test_row_sums_have_no_depth_limit(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("x1 + x2 + "), result.stdout[:80]
+
+
+# Reads a JSON list of (sum, key, parts, n) jobs from stdin, sums them in that
+# order in one process and prints their canonical texts as a JSON list.
+_SUM_JOBS = """
+import json, sys
+from ftok import combin, harness, paths, poly, sixvertex, symfun, tableaux
+from ftok.shapes import Partition, StrictPartition
+
+def tableau(kind, parts, n):
+    return symfun.tableau_sum(kind, tableaux.KINDS[symfun.KINDS[kind][0]][0](parts), n)
+
+def gt(weight, parts, n):
+    row_weight = {"gtp": combin.gtp_row_weight, "tokuyama": combin.tokuyama_row_weight}[weight]
+    return combin.gt_row_sum(StrictPartition(parts), row_weight, weight)
+
+def ice(variant, parts, n):
+    if variant == "lemma4":
+        return harness._check_lemma4(Partition(parts), n)[0]
+    return sixvertex.partition_function(Partition(parts), n, variant)
+
+def lattice(kind, parts, n):
+    return paths.row_sweep_sum(kind, (Partition if kind == "sst" else StrictPartition)(parts), n)
+
+SUMS = {"tableau": tableau, "gt": gt, "ice": ice, "paths": lattice}
+print(json.dumps([poly.canonical(SUMS[name](key, tuple(parts), n))
+                  for name, key, parts, n in json.load(sys.stdin)]))
+"""
+
+
+def _row_sum_jobs():
+    """(sum, key, parts, n) for every key of every row-transfer sum, over the
+    tier-1 ranges at n <= 4, each top's keys side by side."""
+    jobs = []
+    for n in (1, 2, 3, 4):
+        for mu in harness.partitions_up_to(MU_MAIN if n < 4 else MU_N4, n):
+            lam = shape_for(mu, n, "delta").parts
+            for kind, (tkind, _) in symfun.KINDS.items():
+                jobs.append(("tableau", kind, mu.normalized().parts if tkind == "sst" else lam, n))
+        for mu in harness.partitions_up_to(MU_SMALL if n < 4 else MU_N4, n):
+            jobs.append(("gt", "gtp", shape_for(mu, n, "delta").parts, n))
+            jobs.append(("gt", "tokuyama", shape_for(mu, n, "rho").parts, n))
+            jobs += [("ice", key, mu.parts, n) for key in combin.VARIANTS + ("lemma4",)]
+        if n < 4:
+            jobs += [("paths", "sst", mu.parts, n) for mu in harness.partitions_up_to(8, n)]
+            jobs += [("paths", "pst", lam.parts, n) for lam in _strict_partitions(8, n)]
+        else:
+            for mu in harness.partitions_up_to(MU_N4, n):
+                jobs.append(("paths", "sst", mu.parts, n))
+                jobs.append(("paths", "pst", shape_for(mu, n, "delta").parts, n))
+    return jobs
+
+
+def test_shared_row_sums_do_not_depend_on_order():
+    # the row-transfer memos and the weight caches live as long as the
+    # process, so each order of the same sums must give the same texts; the
+    # primedQ sum at (5, 4, 2, 1), n = 4, taken last, after every other n = 4
+    # top, is checked against its 6144 tableaux
+    last = ("tableau", "factorialBigQ", (5, 4, 2, 1), 4)
+    jobs = _row_sum_jobs()
+    jobs.remove(last)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _SUM_JOBS],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for _ in range(2)
+    ]
+    outputs = [
+        proc.communicate(json.dumps(order + [last]), timeout=120)
+        for proc, order in zip(procs, (jobs, jobs[::-1]))
+    ]
+    assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outputs]
+    ascending, descending = (json.loads(out) for out, _ in outputs)
+    assert len(ascending) == len(jobs) + 1
+    assert ascending[:-1] == descending[-2::-1]
+    assert ascending[-1] == descending[-1]
+    lam = StrictPartition(last[2])
+    tabs = list(tableaux.enumerate_tableaux("primedQ", lam, 4))
+    assert len(tabs) == 6144
+    assert ascending[-1] == poly.canonical(poly.poly_sum(tableaux.weight(t) for t in tabs))
 
 
 def _self_calls(source: str) -> list[tuple[int, str]]:

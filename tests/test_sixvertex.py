@@ -140,4 +140,4 @@ def test_boundary_arrows():
 )
 def test_ice_sum_of_weight_one_counts_the_asms(mu, n):
     count = sum(1 for _ in combin.enumerate_asm(shape_for(mu, n, "delta")))
-    assert sixvertex.ice_sum(mu, n, lambda letters, i: poly.ONE) == poly.const(count)
+    assert sixvertex.ice_sum(mu, n, lambda letters, i: poly.ONE, "1") == poly.const(count)
