@@ -375,34 +375,33 @@ def enumerate_gtp(top: StrictPartition):
         yield GTPattern(reversed(rows))
 
 
-# (key, strict) -> {row: H(row)}, the memos of ``row_transfer``
+# (row weight, its arguments, strict) -> {row: H(row)}, the memos of ``row_transfer``
 _ROW_SUMS: dict = {}
 
 
-def row_transfer(top: tuple[int, ...], row_weight, strict: bool, key) -> poly.Polynomial:
+def row_transfer(top: tuple[int, ...], strict: bool, row_weight, *args) -> poly.Polynomial:
     """Sum over the chains ``top = row_k, row_(k-1), ..., row_0 = ()`` of rows
     from ``shapes.interlacing(row_i, strict)`` of the product of
-    ``row_weight(i, row_i, row_(i-1))``.
+    ``row_weight(i, row_i, row_(i-1), *args)``.
 
-    Row transfer: ``H(row) = sum_lower row_weight(len(row), row, lower) *
-    H(lower)`` from ``H(()) = 1``.  ``H(row)`` depends on the row and the row
-    weight only, not on ``top``, so it is memoised on the row in one memo per
-    ``(key, strict)`` for the life of the process: each row is summed once per
-    process however many chains and tops reach it.  ``key`` is hashable and
-    names everything ``row_weight`` reads besides its three arguments, so two
-    calls with equal keys must pass equal row weights; each caller's key
-    begins with its own name.  A lower row of row weight 0 is skipped, never
+    Row transfer: ``H(row) = sum_lower row_weight(len(row), row, lower, *args)
+    * H(lower)`` from ``H(()) = 1``.  ``H(row)`` depends on the row, the row
+    weight and its arguments only, not on ``top``, so it is memoised on the
+    row in one memo per ``(row_weight, args, strict)`` for the life of the
+    process: each row is summed once per process however many chains and tops
+    reach it.  So a row weight must read nothing but its arguments, and
+    those must be hashable.  A lower row of row weight 0 is skipped, never
     summed.  One loop over a stack of (row, its (row weight, lower row) pairs,
     its lower rows) sums a lower row not in the memo first, so no chain needs
     stack depth, and ``H(row)`` is one :func:`poly.sum_of_products` call on
     its pairs.
     """
-    memo = _ROW_SUMS.setdefault((key, strict), {(): poly.ONE})
+    memo = _ROW_SUMS.setdefault((row_weight, args, strict), {(): poly.ONE})
     stack = [] if top in memo else [(top, [], interlacing(top, strict))]
     while stack:
         row, pairs, lowers = stack[-1]
         for lower in lowers:
-            if weight := row_weight(len(row), row, lower):
+            if weight := row_weight(len(row), row, lower, *args):
                 pairs.append((weight, lower))
                 if lower not in memo:
                     stack.append((lower, [], interlacing(lower, strict)))
@@ -413,14 +412,14 @@ def row_transfer(top: tuple[int, ...], row_weight, strict: bool, key) -> poly.Po
     return memo[top]
 
 
-def gt_row_sum(top: StrictPartition, row_weight, key) -> poly.Polynomial:
+def gt_row_sum(top: StrictPartition, row_weight, *args) -> poly.Polynomial:
     """Sum over the strict patterns with top row ``top`` of the product of
-    ``row_weight(i, row, lower)`` over their rows i (``lower`` is row i - 1,
-    empty for the bottom row), as a :func:`row_transfer` whose ``key`` names
-    the row weight.  The sum over ``enumerate_gtp(top)`` is its oracle.
+    ``row_weight(i, row, lower, *args)`` over their rows i (``lower`` is row
+    i - 1, empty for the bottom row), as one :func:`row_transfer`.  The sum
+    over ``enumerate_gtp(top)`` is its oracle.
     """
     _check_top(top)
-    return row_transfer(tuple(top.parts), row_weight, True, ("gt_row_sum", key))
+    return row_transfer(tuple(top.parts), True, row_weight, *args)
 
 
 def enumerate_asm(shape: StrictPartition):

@@ -201,14 +201,8 @@ def _check_lemma4(mu: Partition, n: int):
     # ice sum of that statistic row by row.  Its coefficients sum to the
     # count, and lhs == count * t^|mu| exactly when every matrix has
     # #SW - #NE = |mu|; combin.enumerate_asm is the oracle of the count.
-    tvar = poly.variable("t")
-    lhs = sixvertex.ice_sum(
-        mu,
-        n,
-        lambda letters, i: poly.var_poly(tvar, letters.count("SW") - letters.count("NE")),
-        "t^(#SW - #NE)",
-    )
-    rhs = poly.const(sum(lhs.terms.values())) * poly.var_poly(tvar, mu.weight())
+    lhs = sixvertex.ice_sum(mu, n, sixvertex.sw_minus_ne_weight)
+    rhs = poly.const(sum(lhs.terms.values())) * poly.var_poly(poly.variable("t"), mu.weight())
     return lhs, rhs
 
 
@@ -229,13 +223,13 @@ def _check_cor2(mu: Partition, n: int):
 
 
 def _check_cor3(mu: Partition, n: int):
-    lhs = combin.gt_row_sum(shape_for(mu, n, "delta"), combin.gtp_row_weight, "gtp")
+    lhs = combin.gt_row_sum(shape_for(mu, n, "delta"), combin.gtp_row_weight)
     rhs = symfun.theorem_rhs(mu, n, "P")
     return lhs, rhs
 
 
 def _check_cor4(mu: Partition, n: int):
-    lhs = combin.gt_row_sum(shape_for(mu, n, "rho"), combin.tokuyama_row_weight, "tokuyama")
+    lhs = combin.gt_row_sum(shape_for(mu, n, "rho"), combin.tokuyama_row_weight)
     rhs = (
         symfun.vandermonde(n, lambda i, j: poly.x(i) + poly.t() * poly.x(j))
         * symfun.tableau_sum("schur", mu.normalized(), n)

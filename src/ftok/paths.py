@@ -230,18 +230,22 @@ def row_sweep_sum(kind: str, shape, n: int) -> poly.Polynomial:
     :func:`nonintersecting_sum` is its oracle.
     """
     ends = _endpoints(kind, shape, n)
-    starts = [start for (_, start), _ in ends]
-
-    def row_weight(r, upper, lower):
-        entry = lower + (0,)  # path r enters row r at its start
-        return poly.product(
-            _leg_sum(kind, n, r, starts[j] + entry[j], starts[j] + upper[j],
-                     entry[j - 1] if j and kind == "pst" else None)
-            for j in range(r)
-        )
-
+    starts = tuple(start for (_, start), _ in ends)
     top = tuple(end - start for (_, start), (_, end) in ends)
-    return combin.row_transfer(top, row_weight, kind == "pst", ("row_sweep_sum", kind, n))
+    return combin.row_transfer(top, kind == "pst", _sweep_row, kind, n, starts)
+
+
+def _sweep_row(r: int, upper: tuple[int, ...], lower: tuple[int, ...], kind: str, n: int,
+               starts: tuple[int, ...]) -> poly.Polynomial:
+    """The row weight of :func:`row_sweep_sum`: the product of the leg sums of
+    paths 1..r in row r, from the states ``lower`` (before the row) to
+    ``upper`` (after it), path j starting in column ``starts[j]``."""
+    entry = lower + (0,)  # path r enters row r at its start
+    return poly.product(
+        _leg_sum(kind, n, r, starts[j] + entry[j], starts[j] + upper[j],
+                 entry[j - 1] if j and kind == "pst" else None)
+        for j in range(r)
+    )
 
 
 @functools.cache

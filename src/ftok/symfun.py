@@ -77,13 +77,12 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
 
     The cells holding entries ``<= k`` form a shape ``kappa_k`` with at most
     k rows, and ``kappa_k / kappa_(k-1)`` is the strip of the letter k.  So the
-    sum is ``combin.row_transfer`` of ``tableaux.strip_sum`` down from the
-    shape padded to n rows, over strict rows for the primed kinds.  A kind's
-    ring map is a homomorphism, so it is applied to each cell factor of each
-    strip (``_strip_sum``) before their product expands, never to the
-    finished sum.  The brute-force sum of ``tableaux.weight`` over
-    ``tableaux.enumerate_tableaux``, with the ring map substituted afterwards,
-    is its oracle.
+    sum is ``combin.row_transfer`` of ``_strip_sum`` down from the shape
+    padded to n rows, over strict rows for the primed kinds.  A kind's ring
+    map is a homomorphism, so it is applied to each cell factor of each strip
+    before their product expands, never to the finished sum.  The brute-force
+    sum of ``tableaux.weight`` over ``tableaux.enumerate_tableaux``, with the
+    ring map substituted afterwards, is its oracle.
     """
     if kind not in KINDS:
         raise InvalidShapeForKind(f"unknown symmetric function kind {kind!r}")
@@ -96,19 +95,16 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
         return poly.ZERO
     return combin.row_transfer(
         parts + (0,) * (n - len(parts)),
-        lambda k, outer, inner: _strip_sum(kind, outer, inner),
         tableaux.KINDS[tkind][0] is StrictPartition,
-        ("tableau_sum", kind),
+        _strip_sum,
+        kind,
     )
 
 
-@functools.cache
-def _strip_sum(kind: str, outer: tuple[int, ...], inner: tuple[int, ...]) -> poly.Polynomial:
-    """``tableaux.strip_sum`` of the kind's tableau kind, its ring map on each cell.
-
-    A strip depends only on the kind and its two rows, so the sums of one
-    process share it: the strips below the top rows recur in every shape.
-    """
+def _strip_sum(k: int, outer: tuple[int, ...], inner: tuple[int, ...],
+               kind: str) -> poly.Polynomial:
+    """``tableaux.strip_sum`` of the kind's tableau kind, its ring map on each
+    cell: the row weight of ``tableau_sum``, whose letter k is ``len(outer)``."""
     tkind, ring_map = KINDS[kind]
     return tableaux.strip_sum(tkind, outer, inner, ring_map)
 

@@ -17,7 +17,7 @@ import pytest
 from test_acceptance import (MU_MAIN, MU_N4, MU_SMALL, _corollary_range, _main_range,
                              _strict_partitions)
 
-from ftok import combin, harness, poly, sixvertex, symfun, tableaux
+from ftok import combin, harness, paths, poly, sixvertex, symfun, tableaux
 from ftok.shapes import Partition, StrictPartition, shape_for
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,7 +95,7 @@ def test_gt_row_sum_matches_enumeration(mu, n):
     lam = shape_for(mu, n, "delta")
     patterns = list(combin.enumerate_gtp(lam))
     want = poly.poly_sum(combin.weight_gtp(g) for g in patterns)
-    assert combin.gt_row_sum(lam, combin.gtp_row_weight, "gtp") == want
+    assert combin.gt_row_sum(lam, combin.gtp_row_weight) == want
     for variant in combin.VARIANTS:
         table = combin.BoltzmannTable(variant)
         want = poly.poly_sum(
@@ -105,7 +105,7 @@ def test_gt_row_sum_matches_enumeration(mu, n):
         assert sixvertex.partition_function(mu, n, variant) == want, variant
     rho = shape_for(mu, n, "rho")
     want = poly.poly_sum(_tokuyama_weight(g) for g in combin.enumerate_gtp(rho))
-    assert combin.gt_row_sum(rho, combin.tokuyama_row_weight, "tokuyama") == want
+    assert combin.gt_row_sum(rho, combin.tokuyama_row_weight) == want
 
 
 @pytest.mark.parametrize("mu,n", _GT_CASES, ids=_id)
@@ -173,7 +173,7 @@ def tableau(kind, parts, n):
 
 def gt(weight, parts, n):
     row_weight = {"gtp": combin.gtp_row_weight, "tokuyama": combin.tokuyama_row_weight}[weight]
-    return combin.gt_row_sum(StrictPartition(parts), row_weight, weight)
+    return combin.gt_row_sum(StrictPartition(parts), row_weight)
 
 def ice(variant, parts, n):
     if variant == "lemma4":
@@ -245,6 +245,43 @@ def test_shared_row_sums_do_not_depend_on_order():
     tabs = list(tableaux.enumerate_tableaux("primedQ", lam, 4))
     assert len(tabs) == 6144
     assert ascending[-1] == poly.canonical(poly.poly_sum(tableaux.weight(t) for t in tabs))
+
+
+def test_row_sums_share_one_memo_per_weight(monkeypatch):
+    # a row-sum memo belongs to a row weight with its arguments, so a second
+    # top of the same sum adds no memo, while another kind, variant or n (the
+    # path sums read n) adds one; a fresh lambda gets a memo of its own
+    memos = {}
+    monkeypatch.setattr(combin, "_ROW_SUMS", memos)
+    tableau_sum = symfun.tableau_sum.__wrapped__  # past the per-shape cache, to the memos
+    sums = [
+        lambda mu, n: tableau_sum("factorialSchur", mu, n),
+        lambda mu, n: tableau_sum("factorialBigQ", shape_for(mu, n, "delta"), n),
+        lambda mu, n: combin.gt_row_sum(shape_for(mu, n, "delta"), combin.gtp_row_weight),
+        lambda mu, n: combin.gt_row_sum(shape_for(mu, n, "rho"), combin.tokuyama_row_weight),
+        *(lambda mu, n, v=v: sixvertex.partition_function(mu, n, v) for v in combin.VARIANTS),
+        lambda mu, n: harness._check_lemma4(mu, n)[0],
+        lambda mu, n: paths.row_sweep_sum("sst", mu, n),
+        lambda mu, n: paths.row_sweep_sum("pst", shape_for(mu, n, "delta"), n),
+    ]
+    one = Partition((1,))
+    for count, row_sum in enumerate(sums, start=1):
+        row_sum(one, 3)
+        assert len(memos) == count
+    for mu in (Partition(), Partition((2,)), Partition((1, 1))):
+        for row_sum in sums:
+            row_sum(mu, 3)
+    assert len(memos) == len(sums) == 10
+    for row_sum in sums[:-2]:
+        row_sum(one, 2)
+    assert len(memos) == len(sums)
+    for count, row_sum in enumerate(sums[-2:], start=len(sums) + 1):
+        row_sum(one, 2)
+        assert len(memos) == count
+    asms = sum(1 for _ in combin.enumerate_asm(shape_for(one, 3, "delta")))
+    for count in (len(sums) + 3, len(sums) + 4):
+        assert sixvertex.ice_sum(one, 3, lambda letters, i: poly.ONE) == poly.const(asms)
+        assert len(memos) == count
 
 
 def _self_calls(source: str) -> list[tuple[int, str]]:
