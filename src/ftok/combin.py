@@ -4,7 +4,9 @@ matrices, and the weight functions tying them to shifted tableaux, row by row;
 
 GT pattern rows are stored bottom-up: ``rows[0]`` is the single bottom entry
 and ``rows[n-1]`` is the top row (the shape).  ASM rows run top-down, so ASM
-row i pairs with pattern rows i and i-1.  ``cpm_row`` is the one rule for row
+row i pairs with pattern rows i and i-1.  An ASM is valid when its partial
+column sums are 0 or 1 and form a strict pattern with its shape as the top
+row; ``gtp_from_asm`` is that one check.  ``cpm_row`` is the one rule for row
 i of the ice: ``asm_from_gtp`` and ``cpm_from_asm`` read every row through it,
 and ``asm_from_cpm`` maps its letters to ASM entries.  ``VARIANTS`` are the
 keys of ``BOLTZMANN_WEIGHTS``, the one Boltzmann weight table.  The pattern
@@ -121,30 +123,9 @@ class ASM(_IceMatrix, FrozenValue):
 
 
 def validate_asm(a: ASM) -> None:
-    n, m = a.dims()
-    lam = set(p for p in a.shape.parts if p > 0)
-    if len(a.shape.parts) != n or a.shape.length() != n:
-        raise InvalidASM(f"an ASM with {n} rows needs {n} positive parts, got {a.shape.parts}")
-    if any(len(r) != m for r in a.entries):
-        raise InvalidASM(f"rows must have {m} columns")
-    if any(not is_int(v) or v not in (-1, 0, 1) for r in a.entries for v in r):
-        raise InvalidASM("entries must be integers in {-1, 0, 1}")
-    for i, row in enumerate(a.entries, start=1):
-        nz = [v for v in row if v]
-        if not nz or nz[0] != 1 or nz[-1] != 1:
-            raise InvalidASM(f"row {i} must start and end its nonzeros with 1")
-        if any(nz[k] == nz[k + 1] for k in range(len(nz) - 1)):
-            raise InvalidASM(f"row {i} nonzeros do not alternate")
-    for j in range(m):
-        col = [a.entries[i][j] for i in range(n)]
-        nz = [v for v in col if v]
-        if any(nz[k] == nz[k + 1] for k in range(len(nz) - 1)):
-            raise InvalidASM(f"column {j + 1} nonzeros do not alternate")
-        if nz and nz[0] != 1:
-            raise InvalidASM(f"column {j + 1} must start its nonzeros with 1")
-        want = 1 if (j + 1) in lam else 0
-        if sum(col) != want:
-            raise InvalidASM(f"column {j + 1} sums to {sum(col)}, want {want}")
+    """Raise InvalidASM unless the partial column sums of ``a`` are 0 or 1
+    and form a strict pattern with its shape as the top row."""
+    gtp_from_asm(a)
 
 
 class CPM(_IceMatrix, FrozenValue):
@@ -198,17 +179,32 @@ def asm_from_gtp(g: GTPattern) -> ASM:
 
 
 def gtp_from_asm(a: ASM) -> GTPattern:
-    validate_asm(a)
+    """The pattern (monotone triangle) whose row i holds, in decreasing order,
+    the columns where ASM rows 1..i sum to 1.  The one ASM check: InvalidASM,
+    naming the row where it shows, unless these partial column sums are 0 or
+    1 and form a strict pattern with the shape as the top row."""
     n, m = a.dims()
+    if len(a.shape.parts) != n or a.shape.length() != n:
+        raise InvalidASM(f"an ASM with {n} rows needs {n} positive parts, got {a.shape.parts}")
+    if any(len(r) != m for r in a.entries):
+        raise InvalidASM(f"rows must have {m} columns")
+    if any(not is_int(v) or v not in (-1, 0, 1) for r in a.entries for v in r):
+        raise InvalidASM("entries must be integers in {-1, 0, 1}")
     rows = []
-    acc = [0] * m
-    for i in range(n):
-        for j in range(m):
-            acc[j] += a.entries[i][j]
-        present = sorted((j + 1 for j in range(m) if acc[j] == 1), reverse=True)
-        rows.append(tuple(present))
+    sums = [0] * m
+    for i, entries in enumerate(a.entries, start=1):
+        sums = [s + v for s, v in zip(sums, entries)]
+        for j, s in enumerate(sums, start=1):
+            if s not in (0, 1):
+                raise InvalidASM(f"row {i} leaves column {j} a partial sum of {s}, want 0 or 1")
+        rows.append(tuple(j for j in range(m, 0, -1) if sums[j - 1]))
     g = GTPattern(rows)
-    validate_gtp(g)
+    try:
+        validate_gtp(g)
+    except InvalidPattern as e:  # pattern row i holds the sums of ASM rows 1..i
+        raise InvalidASM(f"partial column sums are not a strict pattern: {e}") from e
+    if g.rows[-1] != a.shape.parts:
+        raise InvalidASM(f"columns {g.rows[-1]} sum to 1, want the shape {a.shape.parts}")
     return g
 
 

@@ -86,19 +86,13 @@ def tableau_sum(kind: str, shape, n: int) -> poly.Polynomial:
     """
     if kind not in KINDS:
         raise InvalidShapeForKind(f"unknown symmetric function kind {kind!r}")
-    tkind = KINDS[kind][0]
-    tableaux.diagram_cells(tkind, shape)  # InvalidShapeForKind on the wrong shape class
+    strict = tableaux.shape_class(KINDS[kind][0], shape) is StrictPartition
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
     parts = tuple(p for p in shape.parts if p > 0)
     if len(parts) > n:
         return poly.ZERO
-    return combin.row_transfer(
-        parts + (0,) * (n - len(parts)),
-        tableaux.KINDS[tkind][0] is StrictPartition,
-        _strip_sum,
-        kind,
-    )
+    return combin.row_transfer(parts + (0,) * (n - len(parts)), strict, _strip_sum, kind)
 
 
 def _strip_sum(k: int, outer: tuple[int, ...], inner: tuple[int, ...],

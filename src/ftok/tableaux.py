@@ -132,11 +132,18 @@ def _kind(kind) -> tuple:
         raise InvalidShapeForKind(f"unknown tableau kind {kind!r}") from None
 
 
-def diagram_cells(kind: str, shape) -> list[tuple[int, int]]:
-    klass, diagram, _ = _kind(kind)
+def shape_class(kind: str, shape) -> type:
+    """The shape class of ``kind``; InvalidShapeForKind unless ``shape`` is one.
+    Reads the class only, never the shape's cells."""
+    klass = _kind(kind)[0]
     if not isinstance(shape, klass):
         raise InvalidShapeForKind(f"{kind} needs a {klass.__name__} shape")
-    return diagram(shape)
+    return klass
+
+
+def diagram_cells(kind: str, shape) -> list[tuple[int, int]]:
+    shape_class(kind, shape)
+    return KINDS[kind][1](shape)
 
 
 def validate(t: Tableau) -> Violation | None:

@@ -302,6 +302,13 @@ ERROR_TEXT = {
     "bijection --from gtp --to asm --input empty-rows.json": "empty pattern",
     "bijection --from gtp --to asm --input negative-entry.json": "not a nonnegative integer",
     "bijection --from asm --to gtp --input wide-asm.json": "rows must have 1 columns",
+    "bijection --from asm --to gtp --input empty-asm.json": (
+        "partial column sums are not a strict pattern: empty pattern"
+    ),
+    # row 2 sums to 0, so rows 1..2 leave one column at 1
+    "bijection --from asm --to gtp --input zero-row-sum.json": (
+        "partial column sums are not a strict pattern: row 2 has 1 entries, want 2"
+    ),
     "bijection --from shifted --to gtp --input sst-as-shifted.json": "expected a shifted tableau",
     "suite --config mu-list.json": "suite entry 'mu' must be a JSON string or number, got [2, 1]",
     # a string row would otherwise read as one cell per character
@@ -382,6 +389,8 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "empty-rows.json").write_text('{"rows": []}')
     (tmp_path / "negative-entry.json").write_text('{"rows": [[-1]]}')
     (tmp_path / "wide-asm.json").write_text('{"entries": [[1, 0]], "shape": [1]}')
+    (tmp_path / "empty-asm.json").write_text('{"entries": [], "shape": []}')
+    (tmp_path / "zero-row-sum.json").write_text('{"entries": [[1, 0], [-1, 1]], "shape": [2, 1]}')
     (tmp_path / "sst-as-shifted.json").write_text(shifted.replace('"shifted"', '"sst"') % "2")
     (tmp_path / "mu-list.json").write_text('[{"id": "theorem1P", "mu": [2, 1], "n": 3}]')
     (tmp_path / "string-row-list.json").write_text(

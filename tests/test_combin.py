@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ftok import combin, poly, tableaux
@@ -52,6 +54,64 @@ def test_validate_asm():
         combin.validate_asm(ASM([[-1, 1], [1, 0]], StrictPartition((2, 1))))
     with pytest.raises(combin.InvalidASM):
         combin.validate_asm(ASM([[1, 0], [1, 0]], StrictPartition((2, 1))))
+    # one case per rule; gtp_from_asm raises InvalidASM, never InvalidPattern
+    staircase = StrictPartition((3, 2, 1))
+    for a, message in (
+        (ASM([[0, 1, 0], [0, 1, 0], [1, -1, 1]], staircase),
+         "row 2 leaves column 2 a partial sum of 2, want 0 or 1"),
+        (ASM([[0, 0, 1], [1, -1, 1], [0, 1, -1]], staircase),
+         "row 2 leaves column 2 a partial sum of -1, want 0 or 1"),
+        (ASM([[0, 1, 0], [1, 0, 1], [0, 0, 0]], staircase),
+         "row 2 has 3 entries, want 2"),
+        (ASM([[1, 0, 0], [-1, 1, 1], [1, 0, 0]], staircase),
+         r"betweenness fails at \(2,1\)"),
+        (ASM([[0, 1, 0], [1, 0, 0]], StrictPartition((3, 1))),
+         r"columns \(2, 1\) sum to 1, want the shape \(3, 1\)"),
+        (ASM([], StrictPartition(())), "empty pattern"),
+        (ASM([[True]], StrictPartition((1,))), "entries must be integers"),
+    ):
+        for check in (combin.validate_asm, combin.gtp_from_asm):
+            with pytest.raises(combin.InvalidASM, match=message) as info:
+                check(a)
+            assert type(info.value) is combin.InvalidASM
+
+
+def _is_textbook_asm(entries, shape) -> bool:
+    """The alternation definition: the nonzero entries of each row alternate
+    1, -1, ..., 1, and those of column j alternate from 1 and sum to 1
+    exactly when j is a part of the shape."""
+
+    def alternates(line):
+        return all(v == (-1) ** k for k, v in enumerate(v for v in line if v))
+
+    return all(alternates(row) and sum(row) == 1 for row in entries) and all(
+        alternates(col) and sum(col) == (j in shape)
+        for j, col in enumerate(zip(*entries), start=1)
+    )
+
+
+def test_validate_asm_matches_the_alternation_definition():
+    # every n x m matrix over {-1, 0, 1} with n <= 3 and n * m <= 9, with
+    # every strict shape of n parts and width m
+    pairs = valid = 0
+    for n in range(1, 4):
+        for m in range(n, 9 // n + 1):
+            for rest in itertools.combinations(range(m - 1, 0, -1), n - 1):
+                shape = StrictPartition((m,) + rest)
+                for flat in itertools.product((-1, 0, 1), repeat=n * m):
+                    entries = [flat[i * m:(i + 1) * m] for i in range(n)]
+                    a = ASM(entries, shape)
+                    want = _is_textbook_asm(entries, shape.parts)
+                    try:
+                        combin.validate_asm(a)
+                    except combin.InvalidASM:
+                        assert not want, entries
+                    else:
+                        assert want, (entries, shape.parts)
+                        assert combin.asm_from_gtp(combin.gtp_from_asm(a)) == a
+                    pairs += 1
+                    valid += want
+    assert (pairs, valid) == (70428, 32)
 
 
 def test_gtp_from_shifted_examples():

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -151,9 +152,9 @@ def test_tableau_sum_examples():
 
 def test_tableau_sum_bad_shape():
     assert symfun.InvalidShapeForKind is tableaux.InvalidShapeForKind
-    with pytest.raises(symfun.InvalidShapeForKind):
+    with pytest.raises(symfun.InvalidShapeForKind, match="^sst needs a Partition shape$"):
         symfun.tableau_sum("factorialSchur", StrictPartition((2, 1)), 2)
-    with pytest.raises(symfun.InvalidShapeForKind):
+    with pytest.raises(symfun.InvalidShapeForKind, match="^primedP needs a StrictPartition shape$"):
         symfun.tableau_sum("factorialBigP", Partition((2, 1)), 2)
     with pytest.raises(symfun.InvalidShapeForKind):
         symfun.tableau_sum("weird", Partition((1,)), 1)
@@ -165,6 +166,22 @@ def test_tableau_sum_outside_n():
     # more nonzero parts than letters: no tableau, so the sum is 0
     assert symfun.tableau_sum("schur", Partition((1, 1)), 1) == poly.ZERO
     assert symfun.tableau_sum("factorialBigP", StrictPartition((2, 1, 0)), 1) == poly.ZERO
+
+
+@pytest.mark.parametrize(
+    "kind, shape, n",
+    [("schur", Partition((10**6,)), 0), ("factorialBigQ", StrictPartition((10**6, 1)), 1)],
+)
+def test_tableau_sum_outside_n_builds_no_diagram(kind, shape, n):
+    # the shape class is checked without its cells: a diagram of 10**6
+    # cells would peak near 91 MiB
+    tracemalloc.start()
+    try:
+        assert symfun.tableau_sum.__wrapped__(kind, shape, n) == poly.ZERO
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_lemma2_needs_a_strict_partition():
